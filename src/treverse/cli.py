@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +53,11 @@ def _native(obj):
 def _emit(payload, fmt: str, out: Path | None, name: str):
     if fmt == "json":
         text = json.dumps(_native(payload), indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        text = _to_csv(payload)
     else:
-        text = _to_text(payload)
+        text = _to_csv(payload)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        suffix = {"json": ".json", "csv": ".csv", "text": ".txt"}[fmt]
-        (out / f"{name}{suffix}").write_text(text)
+        (out / f"{name}.{fmt}").write_text(text)
     sys.stdout.write(text)
 
 
@@ -77,10 +75,6 @@ def _csv_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _to_text(payload) -> str:
-    return json.dumps(_native(payload), indent=2, sort_keys=True) + "\n"
 
 
 def parse_op(text: str) -> TimeReversalOp:
@@ -110,11 +104,103 @@ def parse_op(text: str) -> TimeReversalOp:
     raise ValueError(f"unknown operation syntax {text!r}")
 
 
+def _read_entries(text: str, allowed) -> list[tuple[str, str]]:
+    """The `key = value` lines of an input file, in order.
+
+    '#' starts a comment and blank lines are skipped; keys are lowercased
+    and must be in `allowed`.  Repeated keys are all kept.
+    """
+    entries = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}; expected one of {sorted(allowed)}")
+        entries.append((key, value.strip()))
+    return entries
+
+
+def parse_sim_config(text: str) -> md.SimConfig:
+    """Key-value simulation file mirroring the SimConfig fields.
+
+    Recognized keys: n, dt, steps, temperature, mass, charge, box_half,
+    wca_epsilon (or 'none'), wca_sigma, seed, n_trajectories, equilibration,
+    thermostat_interval, field (inline field syntax).
+    """
+    ints = {"n", "steps", "seed", "n_trajectories", "equilibration",
+            "thermostat_interval"}
+    floats = {"dt", "temperature", "mass", "charge", "box_half", "wca_sigma"}
+    kwargs = {}
+    for key, value in _read_entries(text, ints | floats | {"field", "wca_epsilon"}):
+        if key == "field":
+            kwargs[key] = fl.parse_field(value)
+        elif key == "wca_epsilon":
+            kwargs[key] = None if value.lower() == "none" else float(value)
+        elif key in ints:
+            kwargs[key] = int(value)
+        else:
+            kwargs[key] = float(value)
+    missing = {"n", "field", "dt", "steps"} - kwargs.keys()
+    if missing:
+        raise ValueError(f"config misses required keys: {sorted(missing)}")
+    return md.SimConfig(**kwargs)
+
+
+def parse_field_file(text: str) -> fl.FieldSpec:
+    """Key-value field file: 'family = ...', optional 'box = ...' and the
+    family's entries ('b = bx by bz', 'coeffs = c0 c1 ...' or repeated
+    'term = j k c').
+    """
+    entries: dict[str, list[str]] = {}
+    for key, value in _read_entries(text, {"family", "box", "b", "coeffs", "term"}):
+        entries.setdefault(key, []).append(value)
+    if "family" not in entries:
+        raise ValueError("field file needs a 'family' entry")
+    family = entries["family"][0].lower()
+    box = float(entries["box"][0]) if "box" in entries else fl.DEFAULT_BOX
+    data_key = {fl.FAMILY_CONSTANT: "b", fl.FAMILY_AXIAL: "coeffs",
+                fl.FAMILY_PLANAR: "term"}.get(family)
+    if data_key is None:
+        raise ValueError(f"unknown field family {family!r}")
+    if data_key not in entries:
+        raise ValueError(f"{family} field file needs a {data_key!r} entry")
+    # translate to the inline syntax; only planar fields take repeated terms
+    values = [",".join(v.split()) for v in entries[data_key]]
+    payload = ";".join(values) if family == fl.FAMILY_PLANAR else values[0]
+    return replace(fl.parse_field(f"{family}:{payload}"), box=box)
+
+
+def parse_system_file(text: str) -> kb.SpinSystem:
+    """Key-value system file: 'site = bx by bz [q]' lines and 'exchange = j k J'."""
+    fields_rows = []
+    couplings = []
+    exchange = {}
+    for key, value in _read_entries(text, {"site", "exchange", "n"}):
+        parts = value.split()
+        if key == "site":
+            if len(parts) not in (3, 4):
+                raise ValueError("site lines need 'bx by bz' and optional q")
+            fields_rows.append([float(v) for v in parts[:3]])
+            couplings.append(float(parts[3]) if len(parts) == 4 else 1.0)
+        elif key == "exchange":
+            if len(parts) != 3:
+                raise ValueError("exchange lines need 'j k J'")
+            j, k, coupling = int(parts[0]), int(parts[1]), float(parts[2])
+            exchange[(min(j, k), max(j, k))] = coupling
+        # 'n' is accepted and ignored: the site count is implied by the site lines
+    if not fields_rows:
+        raise ValueError("system file has no site entries")
+    return kb.SpinSystem(np.asarray(fields_rows), np.asarray(couplings), exchange)
+
+
 def _load_field(args) -> fl.FieldSpec:
     if args.field is None:
         raise ValueError("--field is required")
     if Path(args.field).is_file():
-        return fl.parse_field_file(Path(args.field).read_text())
+        return parse_field_file(Path(args.field).read_text())
     return fl.parse_field(args.field)
 
 
@@ -249,7 +335,7 @@ def _parse_observable(text: str, n: int) -> kb.Observable:
 
 
 def cmd_kubo(args) -> int:
-    system = kb.parse_system_file(Path(args.system).read_text())
+    system = parse_system_file(Path(args.system).read_text())
     phi = _parse_observable(args.phi, system.n)
     psi = _parse_observable(args.psi, system.n)
     times = _parse_times(args.times)
@@ -272,8 +358,7 @@ def cmd_kubo(args) -> int:
         value = kb.canonical_correlator(system, args.beta, phi, psi, float(t))
         rows.append([float(t), value.value, value.imag_residual])
     payload = {"columns": ["t", "value", "imag_residual"], "rows": rows}
-    _emit(payload, "csv" if args.format == "json" else args.format,
-          args.out, "kubo")
+    _emit(payload, "csv", args.out, "kubo")
     return EXIT_OK
 
 
@@ -305,9 +390,9 @@ def _parse_pairs(text: str):
 
 
 def cmd_simulate(args) -> int:
-    cfg = md.parse_sim_config(Path(args.config).read_text())
+    cfg = parse_sim_config(Path(args.config).read_text())
     if args.seed is not None:
-        cfg = md.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     pairs = _parse_pairs(args.pairs) if args.pairs else md.component_pairs()
     max_lag = args.max_lag if args.max_lag else cfg.steps * cfg.dt / 4.0
     corr = md.velocity_correlator(cfg, pairs, max_lag, stride=args.stride)
@@ -324,9 +409,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    cfg = md.parse_sim_config(Path(args.config).read_text())
+    cfg = parse_sim_config(Path(args.config).read_text())
     if args.seed is not None:
-        cfg = md.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     max_lag = args.max_lag if args.max_lag else cfg.steps * cfg.dt / 4.0
     t_max = args.t_max if args.t_max else max_lag
     corr = md.velocity_correlator(cfg, md.component_pairs(), max_lag,
@@ -353,11 +438,7 @@ def cmd_verify(args) -> int:
         sys.stdout.write(f"[{status}] {record['criterion']}\n")
     payload = {"seed": args.seed, "scale": args.scale, "criteria": records,
                "all_passed": all(r["passed"] for r in records)}
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "verify-report.json").write_text(
-            json.dumps(_native(payload), indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(json.dumps(_native(payload), indent=2, sort_keys=True) + "\n")
+    _emit(payload, "json", args.out, "verify-report")
     return EXIT_OK if payload["all_passed"] else EXIT_VERIFICATION
 
 
@@ -368,7 +449,7 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--tol", type=float, default=None)
 

@@ -321,30 +321,6 @@ def parse_field(text: str) -> FieldSpec:
     raise ValueError(f"unknown field family {name!r}")
 
 
-def parse_field_file(text: str) -> FieldSpec:
-    """Key-value field file: 'family = ...' plus family-specific entries."""
-    entries: dict[str, list[str]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        entries.setdefault(key.strip().lower(), []).append(value.strip())
-    if "family" not in entries:
-        raise ValueError("field file needs a 'family' entry")
-    family = entries["family"][0].lower()
-    box = float(entries["box"][0]) if "box" in entries else DEFAULT_BOX
-    if family == FAMILY_CONSTANT:
-        return FieldSpec.constant([float(v) for v in entries["b"][0].split()], box=box)
-    if family == FAMILY_AXIAL:
-        return FieldSpec.axial([float(v) for v in entries["coeffs"][0].split()], box=box)
-    if family == FAMILY_PLANAR:
-        spec_terms = ";".join(",".join(t.split()) for t in entries["term"])
-        inline = parse_field(f"planar:{spec_terms}")
-        return FieldSpec.planar(inline.cmat, box=box)
-    raise ValueError(f"unknown field family {family!r}")
-
-
 def builtin_fields() -> dict[str, FieldSpec]:
     """The three stock fields used across the verification suite."""
     return {

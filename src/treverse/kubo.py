@@ -237,32 +237,3 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
     dev = float(np.max(np.abs(lhs - rhs))) if times.size else 0.0
     return KuboSymmetryReport(times, lhs, rhs, eta_phi, eta_psi, dev,
                               worst_imag, tol)
-
-
-def parse_system_file(text: str) -> SpinSystem:
-    """Key-value system file: 'site = bx by bz [q]' lines and 'exchange = j k J'."""
-    fields_rows = []
-    couplings = []
-    exchange = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        parts = value.split()
-        if key == "site":
-            if len(parts) not in (3, 4):
-                raise ValueError("site lines need 'bx by bz' and optional q")
-            fields_rows.append([float(v) for v in parts[:3]])
-            couplings.append(float(parts[3]) if len(parts) == 4 else 1.0)
-        elif key == "exchange":
-            j, k, coupling = int(parts[0]), int(parts[1]), float(parts[2])
-            exchange[(min(j, k), max(j, k))] = coupling
-        elif key == "n":
-            continue      # site count is implied by the site lines
-        else:
-            raise ValueError(f"unknown system entry {key!r}")
-    if not fields_rows:
-        raise ValueError("system file has no site entries")
-    return SpinSystem(np.asarray(fields_rows), np.asarray(couplings), exchange)

@@ -16,8 +16,6 @@ how trajectories are chunked.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -323,7 +321,7 @@ def _fft_correlate(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:
 
 
 def _chunk_correlators(cfg: SimConfig, indices, stride: int, n_samples: int,
-                       pairs) -> tuple[np.ndarray, float]:
+                       n_lags: int, pairs) -> tuple[np.ndarray, float]:
     state = equilibrate(init_state(cfg, indices), cfg)
     r = len(indices)
     vels = np.empty((r, n_samples, cfg.n, 3))
@@ -335,22 +333,18 @@ def _chunk_correlators(cfg: SimConfig, indices, stride: int, n_samples: int,
                 state = step(state, cfg)
     drift = float(np.max(np.abs(energy(state, cfg) - e0)
                          / np.maximum(np.abs(e0), 1e-300)))
-    n_lags_full = n_samples
-    out = None
+    out = np.empty((r, len(pairs), n_lags))
     for col, (i, a, j, b) in enumerate(pairs):
         ai = COMPONENTS.index(a)
         bi = COMPONENTS.index(b)
         if i is None and j is None:
             series_a = np.moveaxis(vels[:, :, :, ai], 1, -1)  # (r, N, S)
             series_b = np.moveaxis(vels[:, :, :, bi], 1, -1)
-            cc = _fft_correlate(series_a, series_b, n_lags_full).mean(axis=1)
+            out[:, col] = _fft_correlate(series_a, series_b, n_lags).mean(axis=1)
         else:
             series_a = vels[:, :, i, ai]
             series_b = vels[:, :, j, bi]
-            cc = _fft_correlate(series_a, series_b, n_lags_full)
-        if out is None:
-            out = np.empty((r, len(pairs), n_lags_full))
-        out[:, col] = cc
+            out[:, col] = _fft_correlate(series_a, series_b, n_lags)
     return out, drift
 
 
@@ -375,17 +369,9 @@ def velocity_correlator(cfg: SimConfig, pairs, max_lag: float,
                             2_000_000 // max(1, n_samples * cfg.n * 3)))
     chunks = [list(range(lo, min(lo + chunk_size, cfg.n_trajectories)))
               for lo in range(0, cfg.n_trajectories, chunk_size)]
-    workers = int(os.environ.get("TREVERSE_THREADS", "1") or "1")
-
-    def work(indices):
-        return _chunk_correlators(cfg, indices, stride, n_samples, pairs)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-    per_traj = np.concatenate([r[0][:, :, :n_lags] for r in results], axis=0)
+    results = [_chunk_correlators(cfg, c, stride, n_samples, n_lags, pairs)
+               for c in chunks]
+    per_traj = np.concatenate([r[0] for r in results], axis=0)
     drift = max(r[1] for r in results)
     return CorrelatorEstimate(lags, tuple(pairs), per_traj, drift)
 
@@ -632,42 +618,6 @@ def conjugacy_check(op: TimeReversalOp, gamma0: PhasePoint, n_steps: int,
 
 # ---------------------------------------------------------------------------
 # closed-form single-particle oracle used by tests and the verifier
-
-def parse_sim_config(text: str) -> SimConfig:
-    """Key-value simulation file mirroring the SimConfig fields.
-
-    Recognized keys: n, dt, steps, temperature, mass, charge, box_half,
-    wca_epsilon (or 'none'), wca_sigma, seed, n_trajectories, equilibration,
-    thermostat_interval, field (inline field syntax).
-    """
-    from .fields import parse_field
-
-    ints = {"n", "steps", "seed", "n_trajectories", "equilibration",
-            "thermostat_interval"}
-    floats = {"dt", "temperature", "mass", "charge", "box_half", "wca_sigma"}
-    kwargs = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "field":
-            kwargs["field"] = parse_field(value)
-        elif key == "wca_epsilon":
-            kwargs[key] = None if value.lower() == "none" else float(value)
-        elif key in ints:
-            kwargs[key] = int(value)
-        elif key in floats:
-            kwargs[key] = float(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    missing = {"n", "field", "dt", "steps"} - kwargs.keys()
-    if missing:
-        raise ValueError(f"config misses required keys: {sorted(missing)}")
-    return SimConfig(**kwargs)
-
 
 def cyclotron_correlators(temperature: float, mass: float, charge: float,
                           b_z: float, lags: np.ndarray) -> dict:

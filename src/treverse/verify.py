@@ -14,8 +14,9 @@ from . import fields as fl
 from . import kubo as kb
 from . import md
 from . import spin as sp
-from .phasespace import PhasePoint, TimeReversalOp, angular_momentum, apply, \
-    is_involution, is_orthogonal, reverses_angular_momentum
+from .phasespace import PhasePoint, TimeReversalOp, angular_momentum, \
+    antisymplectic_residual, apply, is_involution, is_orthogonal, \
+    reverses_angular_momentum
 
 SCALES = ("quick", "full")
 
@@ -71,13 +72,7 @@ def check_structural(seed: int) -> dict:
     points_per_op = max(1, 10_000 // len(ops) + 1)
     for op in ops:
         ok = ok and is_involution(op) and is_orthogonal(op)
-        resid = float(np.max(np.abs(op.induced().T
-                                    @ np.block([[np.zeros((op.dim, op.dim)), -np.eye(op.dim)],
-                                                [np.eye(op.dim), np.zeros((op.dim, op.dim))]])
-                                    @ op.induced()
-                                    + np.block([[np.zeros((op.dim, op.dim)), -np.eye(op.dim)],
-                                                [np.eye(op.dim), np.zeros((op.dim, op.dim))]]))))
-        worst_sympl = max(worst_sympl, resid)
+        worst_sympl = max(worst_sympl, antisymplectic_residual(op.induced()))
         for _ in range(points_per_op):
             gamma = PhasePoint(rng.uniform(-1, 1, op.dim), rng.uniform(-1, 1, op.dim))
             back = apply(op, apply(op, gamma))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treverse.cli import parse_field_file
 from treverse.enumeration import single_particle_catalog
 from treverse.fields import (
     FieldSpec,
@@ -15,7 +16,6 @@ from treverse.fields import (
     eval_field,
     find_compatible,
     parse_field,
-    parse_field_file,
     species_block_constraint,
     vector_potential,
 )
@@ -207,6 +207,10 @@ box = 2.5
     assert spec.box == 1.0
     spec = parse_field_file("family = planar\nterm = 0 0 1\nterm = 1 1 0.5\n")
     assert spec.cmat[1, 1] == 0.5
+    with pytest.raises(ValueError):
+        parse_field_file("family = constant\nb = 0 0 1\nbox_half = 2.5\n")
+    with pytest.raises(ValueError):
+        parse_field_file("family = constant\nbox = 2.5\n")
 
 
 def test_field_box_controls_compat_sampling():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from treverse.cli import parse_system_file
 from treverse.kubo import (
     Observable,
     SignatureError,
@@ -10,7 +11,6 @@ from treverse.kubo import (
     ThermalState,
     canonical_correlator,
     detect_signature,
-    parse_system_file,
     site_operator,
     tr_commutes,
     verify_kubo_symmetry,
@@ -219,3 +219,5 @@ exchange = 0 1 0.3
 def test_parse_system_file_rejects_unknown_key():
     with pytest.raises(ValueError):
         parse_system_file("site = 0 0 1\nbogus = 3\n")
+    with pytest.raises(ValueError):
+        parse_system_file("site = 0 0 1\nsite = 0 0 1\nexchange = 0 1\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treverse.cli import parse_sim_config
 from treverse.fields import FieldSpec
 from treverse.md import (
     CorrelatorEstimate,
@@ -19,7 +20,6 @@ from treverse.md import (
     forced_zero_pairs,
     init_state,
     jackknife_se,
-    parse_sim_config,
     phasepoint_from_state,
     simulate_trajectory,
     state_from_phasepoint,
@@ -27,7 +27,9 @@ from treverse.md import (
     vanishing_correlator_check,
     velocity_correlator,
 )
+from treverse.md import _chunk_correlators, _normalize_pairs
 from treverse.phasespace import PhasePoint, TimeReversalOp
+from treverse.verify import md_fields
 
 CONST_Z = FieldSpec.constant([0.0, 0.0, 1.0], label="constant-z")
 ZERO = FieldSpec.constant([0.0, 0.0, 0.0], label="zero")
@@ -175,6 +177,21 @@ def test_correlator_rejects_long_lag():
     cfg = free_config(steps=100)
     with pytest.raises(ValueError):
         velocity_correlator(cfg, [("x", "x")], max_lag=10.0)
+
+
+def test_per_traj_independent_of_chunking():
+    # one trajectory's estimate depends only on its own index, never on
+    # which other trajectories share its chunk
+    pairs = _normalize_pairs(component_pairs() + [(0, "x", 0, "y")])
+    configs = [SimConfig(n=16, field=field, dt=0.004, steps=60, box_half=2.55,
+                         wca_epsilon=1.0, seed=3, n_trajectories=4, equilibration=40)
+               for field in md_fields().values()]
+    configs.append(free_config(steps=60, n_trajectories=4))
+    for cfg in configs:
+        whole, _ = _chunk_correlators(cfg, [0, 1, 2, 3], 3, 21, 8, pairs)
+        split = [_chunk_correlators(cfg, part, 3, 21, 8, pairs)[0]
+                 for part in ([0], [1, 2], [3])]
+        assert np.array_equal(whole, np.concatenate(split))
 
 
 def test_estimator_stationarity_between_halves():
