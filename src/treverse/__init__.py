@@ -4,7 +4,6 @@ correlators, and desk-scale molecular-dynamics verification."""
 
 from .phasespace import (
     PhasePoint,
-    SymplecticForm,
     TimeReversalOp,
     angular_momentum,
     apply,
@@ -30,7 +29,6 @@ from .enumeration import (
 from .fields import (
     CompatReport,
     FieldSpec,
-    GaugeChoice,
     InvalidOperation,
     builtin_fields,
     check_A_compat,
@@ -38,11 +36,9 @@ from .fields import (
     continuous_family,
     eval_field,
     find_compatible,
-    species_block_constraint,
     vector_potential,
 )
 from .spin import (
-    SU2Element,
     catalog_spin_ops,
     check_su2_preservation,
     conjugation_identity_check,
@@ -50,7 +46,6 @@ from .spin import (
     so3_to_su2,
     spin_lift,
     su2_to_so3,
-    verify_spin_coupling,
 )
 from .kubo import (
     Observable,

@@ -62,13 +62,9 @@ def _emit(payload, fmt: str, out: Path | None, name: str):
 
 
 def _to_csv(payload) -> str:
-    if isinstance(payload, dict) and "rows" in payload:
-        header = ",".join(payload["columns"])
-        lines = [header]
-        for row in payload["rows"]:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
-    return json.dumps(_native(payload), sort_keys=True) + "\n"
+    lines = [",".join(payload["columns"])]
+    lines += [",".join(_csv_cell(v) for v in row) for row in payload["rows"]]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -253,18 +249,17 @@ def cmd_classes(args) -> int:
     total = sum(r["signed_count"] for r in rows)
     payload = {"dim": args.dim, "classes": rows, "signed_total": total,
                "formula_total": en.count_binary(args.dim)}
-    _emit(payload, args.format, args.out, f"classes-{args.dim}")
+    _emit(payload, "json", args.out, f"classes-{args.dim}")
     return EXIT_OK if total == en.count_binary(args.dim) else EXIT_VERIFICATION
 
 
 def cmd_check_field(args) -> int:
     op = parse_op(args.op)
     spec = _load_field(args)
-    tol_b = args.tol if args.tol is not None else fl.ANALYTIC_TOL
-    rb = fl.check_B_compat(op, spec, tol=tol_b, seed=args.seed)
+    rb = fl.check_B_compat(op, spec, tol=args.tol, seed=args.seed)
     ra = fl.check_A_compat(op, spec, seed=args.seed)
     payload = [rb.as_dict(), ra.as_dict()]
-    _emit(payload, args.format, args.out, "check-field")
+    _emit(payload, "json", args.out, "check-field")
     return EXIT_OK if rb.verdict and ra.verdict else EXIT_VERIFICATION
 
 
@@ -278,7 +273,7 @@ def cmd_find_symmetries(args) -> int:
         "count": len(result.ops),
         "continuous_family_applies": result.continuous_family_applies,
     }
-    _emit(payload, args.format, args.out, "find-symmetries")
+    _emit(payload, "json", args.out, "find-symmetries")
     return EXIT_OK
 
 
@@ -293,7 +288,7 @@ def cmd_spin_ops(args) -> int:
             "preserves_su2": entry.verdict.preserves_su2,
             "t_squared": entry.verdict.t_squared,
         })
-    _emit(payload, args.format, args.out, "spin-ops")
+    _emit(payload, "json", args.out, "spin-ops")
     return EXIT_OK
 
 
@@ -310,12 +305,11 @@ def cmd_spin_lift(args) -> int:
     if args.field is not None:
         spec = _load_field(args)
         resid = sp.spin_coupling_residual(op, us, spec, seed=args.seed)
-        tol = args.tol if args.tol is not None else 1e-10
         payload["field"] = spec.label
         payload["coupling_residual"] = resid
-        payload["coupling_ok"] = resid <= tol
-        code = EXIT_OK if resid <= tol else EXIT_VERIFICATION
-    _emit(payload, args.format, args.out, "spin-lift")
+        payload["coupling_ok"] = resid <= args.tol
+        code = EXIT_OK if resid <= args.tol else EXIT_VERIFICATION
+    _emit(payload, "json", args.out, "spin-lift")
     return code
 
 
@@ -343,7 +337,7 @@ def cmd_kubo(args) -> int:
         ops = tuple(sp.pauli(a) for a in args.tr.split(","))
         report = kb.verify_kubo_symmetry(system, kb.SpinTimeReversal(ops),
                                          phi, psi, times, beta=args.beta,
-                                         tol=args.tol if args.tol else 1e-8)
+                                         tol=args.tol)
         payload = {
             "beta": args.beta, "eta_phi": report.eta_phi,
             "eta_psi": report.eta_psi,
@@ -351,7 +345,7 @@ def cmd_kubo(args) -> int:
             "max_imag_residual": report.max_imag_residual,
             "passed": report.passed,
         }
-        _emit(payload, args.format, args.out, "kubo-symmetry")
+        _emit(payload, "json", args.out, "kubo-symmetry")
         return EXIT_OK if report.passed else EXIT_VERIFICATION
     rows = []
     for t in times:
@@ -425,7 +419,7 @@ def cmd_correlate(args) -> int:
                          "ratio": verdict.ratio, "passed": verdict.passed},
         "energy_drift": corr.energy_drift,
     }
-    _emit(payload, args.format, args.out, "diffusion")
+    _emit(payload, "json", args.out, "diffusion")
     if args.out is not None:
         _emit(_correlator_payload(corr), "csv", args.out, "correlators")
     return EXIT_OK if verdict.passed else EXIT_VERIFICATION
@@ -447,48 +441,47 @@ def build_parser() -> _Parser:
                      description="Generalized time-reversal toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--tol", type=float, default=None)
-
     p = sub.add_parser("count", help="closed-form operation count")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--family", choices=("binary", "antisymmetric"), default="binary")
-    common(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="list every operation of a family")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--family", choices=("binary", "antisymmetric"), default="binary")
-    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classes", help="cycle classes, tableaux and sizes")
     p.add_argument("--dim", type=int, required=True)
-    common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("check-field", help="operation/field compatibility")
     p.add_argument("--op", required=True)
     p.add_argument("--field", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=fl.ANALYTIC_TOL)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_check_field)
 
     p = sub.add_parser("find-symmetries", help="catalog operations compatible with a field")
     p.add_argument("--field", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_find_symmetries)
 
     p = sub.add_parser("spin-ops", help="the nine spin-space candidates")
-    common(p)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_spin_ops)
 
     p = sub.add_parser("spin-lift", help="lift a spatial block to spin space")
     p.add_argument("--op", required=True)
     p.add_argument("--field", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_spin_lift)
 
     p = sub.add_parser("kubo", help="canonical correlator on a spin system")
@@ -499,7 +492,8 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", required=True)
     p.add_argument("--tr", default=None,
                    help="per-site pauli axes, e.g. 'x,x'; runs the symmetry check")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_kubo)
 
     p = sub.add_parser("simulate", help="run MD and write correlators")
@@ -507,16 +501,18 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", default=None)
     p.add_argument("--max-lag", type=float, default=None)
     p.add_argument("--stride", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_simulate, seed=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("correlate", help="MD + diffusion tensor + verdicts")
     p.add_argument("--config", required=True)
     p.add_argument("--max-lag", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--stride", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_correlate, seed=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")
     p.add_argument("--seed", type=int, default=42)

@@ -1,10 +1,11 @@
-"""Magnetic field families, paired vector potentials, and compatibility checks.
+"""Magnetic field families, one vector-potential gauge per family, and
+compatibility checks.
 
 A spatial block A of a time-reversal operation is compatible with a field B
 when det(A) A B(A x) = -B(x) pointwise; the equivalent statement for the
 vector potential is that A*pot(A x) + pot(x) is curl-free (the gauge
 gradient absorbed).  Both conditions are decided numerically on random
-sample points in a box.
+sample points in the field's box.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class FieldSpec:
     planar:   q(x^2, y^2) along z with a symmetric coefficient matrix, so the
               profile is even in x and y and symmetric under x <-> y.
 
-    box is the half-side of the sampling region the compatibility checks
-    draw their points from.
+    box is the half-side of the sampling region the compatibility and
+    spin-coupling checks draw their points from.
     """
 
     family: str
@@ -73,32 +74,6 @@ class FieldSpec:
                    label=label or f"planar:{_fmt(cmat.flatten())}", box=box)
 
 
-@dataclass(frozen=True)
-class GaugeChoice:
-    """Vector-potential gauge paired with a field family.
-
-    symmetric: pot = (1/2) b cross x, for constant fields (Coulomb).
-    azimuthal: pot = g(rho^2) (-y, x, 0) for axial fields (Coulomb); the
-               rho = 0 value is the removable-singularity limit 0.
-    planar:    polynomial antiderivative gauge for planar fields; curl-exact
-               but not divergence-free.
-    """
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in ("symmetric", "azimuthal", "planar"):
-            raise ValueError(f"unknown gauge {self.tag!r}")
-
-
-def default_gauge(spec: FieldSpec) -> GaugeChoice:
-    return GaugeChoice({
-        FAMILY_CONSTANT: "symmetric",
-        FAMILY_AXIAL: "azimuthal",
-        FAMILY_PLANAR: "planar",
-    }[spec.family])
-
-
 def eval_field(spec: FieldSpec, x) -> np.ndarray:
     """B at points of shape (..., 3)."""
     x = np.asarray(x, dtype=float)
@@ -116,20 +91,21 @@ def eval_field(spec: FieldSpec, x) -> np.ndarray:
     return out
 
 
-def vector_potential(spec: FieldSpec, gauge: GaugeChoice | None, x) -> np.ndarray:
-    """A with curl A = B at points of shape (..., 3)."""
-    if gauge is None:
-        gauge = default_gauge(spec)
+def vector_potential(spec: FieldSpec, x) -> np.ndarray:
+    """A with curl A = B at points of shape (..., 3), in the family's gauge.
+
+    constant: A = (1/2) b cross x (symmetric, Coulomb).
+    axial:    A = g(rho^2) (-y, x, 0) (azimuthal, Coulomb); the rho = 0
+              value is the removable-singularity limit 0.
+    planar:   polynomial antiderivative gauge; curl-exact but not
+              divergence-free.
+    """
     x = np.asarray(x, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, (3,)))
-    if gauge.tag == "symmetric":
-        if spec.family != FAMILY_CONSTANT:
-            raise ValueError("symmetric gauge applies to constant fields")
+    if spec.family == FAMILY_CONSTANT:
         out[...] = 0.5 * np.cross(np.broadcast_to(spec.b, out.shape), x)
         return out
-    if gauge.tag == "azimuthal":
-        if spec.family != FAMILY_AXIAL:
-            raise ValueError("azimuthal gauge applies to axial fields")
+    if spec.family == FAMILY_AXIAL:
         # (1/rho) integral of rho' p(rho'^2) equals rho * g(rho^2) with
         # g absorbing each coefficient c_k as c_k u^k / (2k + 2)
         g_coeffs = spec.coeffs / (2.0 * np.arange(spec.coeffs.size) + 2.0)
@@ -138,8 +114,6 @@ def vector_potential(spec: FieldSpec, gauge: GaugeChoice | None, x) -> np.ndarra
         out[..., 0] = -x[..., 1] * g
         out[..., 1] = x[..., 0] * g
         return out
-    if spec.family != FAMILY_PLANAR:
-        raise ValueError("planar gauge applies to planar fields")
     # A_x = -(1/2) int_0^y B(x, t) dt, A_y = (1/2) int_0^x B(t, y) dt
     xs = x[..., 0]
     ys = x[..., 1]
@@ -221,35 +195,31 @@ def _sample_points(samples: int, box: float, seed: int) -> np.ndarray:
 
 
 def check_B_compat(op, spec: FieldSpec, samples: int = DEFAULT_SAMPLES,
-                   tol: float = ANALYTIC_TOL, box: float | None = None,
-                   seed: int = 0) -> CompatReport:
-    """Residual of det(A) A B(A x) = -B(x) over random sample points."""
+                   tol: float = ANALYTIC_TOL, seed: int = 0) -> CompatReport:
+    """Residual of det(A) A B(A x) = -B(x) over random points of spec.box."""
     a, label = _validated_block(op)
-    pts = _sample_points(samples, box if box is not None else spec.box, seed)
+    pts = _sample_points(samples, spec.box, seed)
     det = float(np.linalg.det(a))
     lhs = det * (eval_field(spec, pts @ a.T) @ a.T)
     resid = float(np.max(np.abs(lhs + eval_field(spec, pts))))
     return CompatReport(label, spec.label, "B-condition", resid, tol, samples)
 
 
-def check_A_compat(op, spec: FieldSpec, gauge: GaugeChoice | None = None,
-                   samples: int = DEFAULT_SAMPLES, tol: float = CURL_TOL,
-                   box: float | None = None, seed: int = 0,
-                   h: float = FD_STEP) -> CompatReport:
-    """Curl residual of G(x) = A pot(A x) + pot(x) over random sample points.
+def check_A_compat(op, spec: FieldSpec, samples: int = DEFAULT_SAMPLES,
+                   tol: float = CURL_TOL, seed: int = 0) -> CompatReport:
+    """Curl residual of G(x) = A pot(A x) + pot(x) over random points of
+    spec.box.
 
     G is a pure gauge gradient exactly when the vector-potential
     compatibility condition holds, so compatibility means curl G = 0.
     """
     a, label = _validated_block(op)
-    if gauge is None:
-        gauge = default_gauge(spec)
-    pts = _sample_points(samples, box if box is not None else spec.box, seed)
+    pts = _sample_points(samples, spec.box, seed)
 
     def gauge_field(y):
-        return vector_potential(spec, gauge, y @ a.T) @ a.T + vector_potential(spec, gauge, y)
+        return vector_potential(spec, y @ a.T) @ a.T + vector_potential(spec, y)
 
-    resid = float(np.max(np.abs(curl_fd(gauge_field, pts, h=h))))
+    resid = float(np.max(np.abs(curl_fd(gauge_field, pts))))
     return CompatReport(label, spec.label, "A-condition", resid, tol, samples)
 
 
@@ -269,27 +239,15 @@ def continuous_family(theta: float) -> TimeReversalOp:
     return TimeReversalOp(A=a, kind=KIND_CONTINUOUS, label=f"theta:{theta:.12g}")
 
 
-def find_compatible(spec: FieldSpec, samples: int = DEFAULT_SAMPLES,
-                    tol: float = ANALYTIC_TOL, box: float | None = None,
-                    seed: int = 0) -> FieldSymmetries:
+def find_compatible(spec: FieldSpec, seed: int = 0) -> FieldSymmetries:
     """Filter the 20-operation single-particle catalog through the B condition."""
     ops = tuple(op for op in single_particle_catalog()
-                if check_B_compat(op, spec, samples, tol, box, seed).verdict)
+                if check_B_compat(op, spec, seed=seed).verdict)
     if spec.family == FAMILY_CONSTANT:
         continuous = bool(spec.b[0] == 0.0 and spec.b[1] == 0.0)
     else:
         continuous = spec.family == FAMILY_AXIAL
     return FieldSymmetries(spec.label, ops, continuous)
-
-
-def species_block_constraint(masses, charges) -> str:
-    """Whether distinct species force per-particle block structure."""
-    masses = list(masses)
-    charges = list(charges)
-    if not masses or len(masses) != len(charges):
-        raise ValueError("masses and charges must be equal-length, non-empty")
-    pairs = set(zip(masses, charges))
-    return "unrestricted" if len(pairs) == 1 else "per-particle-blocks-required"
 
 
 def field_scale(spec: FieldSpec, box: float = DEFAULT_BOX) -> float:

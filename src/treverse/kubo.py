@@ -143,16 +143,15 @@ class CorrelatorValue(NamedTuple):
 
 
 def canonical_correlator(system: SpinSystem, beta: float, phi: Observable,
-                         psi: Observable, t: float,
-                         time_on: str = "psi") -> CorrelatorValue:
-    """Kubo canonical correlator <phi(0); psi(t)> (or time on phi instead).
+                         psi: Observable, t: float) -> CorrelatorValue:
+    """Kubo canonical correlator <phi(0); psi(t)>.
 
     Computed in the eigenbasis with the analytic lambda integral; the
     imaginary residual of the assembled double sum is reported and must
     stay below the reality tolerance for Hermitian inputs.
     """
     state = ThermalState.of(system, beta)
-    return _correlator_in_basis(state, phi.matrix, psi.matrix, t, time_on)
+    return _correlator_in_basis(state, phi.matrix, psi.matrix, t)
 
 
 def _correlator_in_basis(state: ThermalState, phi: np.ndarray, psi: np.ndarray,

@@ -86,22 +86,6 @@ class MDState:
         return MDState(self.pos.copy(), self.vel.copy())
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded single-trajectory time series (positions unwrapped)."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-    energies: np.ndarray
-
-    @property
-    def energy_drift(self) -> float:
-        e0 = self.energies[0]
-        scale = max(abs(e0), 1e-300)
-        return float(np.max(np.abs(self.energies - e0)) / scale)
-
-
 def _wrap(pos: np.ndarray, box: float) -> np.ndarray:
     return pos - box * np.rint(pos / box)
 
@@ -223,28 +207,6 @@ def equilibrate(state: MDState, cfg: SimConfig) -> MDState:
             factor = np.sqrt(target / np.maximum(kinetic, 1e-300))
             state = MDState(state.pos, state.vel * factor[:, None, None])
     return state
-
-
-def simulate_trajectory(cfg: SimConfig, record_stride: int = 1) -> Trajectory:
-    """Run one equilibrated trajectory, recording the full time series."""
-    one = replace(cfg, n_trajectories=1)
-    state = equilibrate(init_state(one, [0]), one)
-    n_rec = cfg.steps // record_stride + 1
-    times = np.empty(n_rec)
-    positions = np.empty((n_rec, cfg.n, 3))
-    velocities = np.empty((n_rec, cfg.n, 3))
-    energies = np.empty(n_rec)
-    k = 0
-    for s in range(cfg.steps + 1):
-        if s % record_stride == 0:
-            times[k] = s * cfg.dt
-            positions[k] = state.pos[0]
-            velocities[k] = state.vel[0]
-            energies[k] = energy(state, one)[0]
-            k += 1
-        if s < cfg.steps:
-            state = step(state, one)
-    return Trajectory(times, positions, velocities, energies)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear phase-space maps, the symplectic form, and the defining checks.
+"""Linear phase-space maps and their defining checks.
 
 A candidate time-reversal operation is stored through its M x M coordinate
 block A; the induced map on phase space is (X, P) -> (A X, -A P).  Signed
@@ -42,18 +42,6 @@ class PhasePoint:
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard form omega = [[0, -I], [I, 0]] on a 2M-dimensional space."""
-
-    dim: int
-
-    def matrix(self) -> np.ndarray:
-        eye = np.eye(self.dim, dtype=int)
-        zero = np.zeros((self.dim, self.dim), dtype=int)
-        return np.block([[zero, -eye], [eye, zero]])
 
 
 @dataclass(frozen=True)
@@ -150,21 +138,18 @@ def is_orthogonal(op: TimeReversalOp, tol: float = DEFAULT_TOL) -> bool:
 
 
 def antisymplectic_residual(P: np.ndarray) -> float:
-    """Max-norm residual of P^T omega P = -omega for a full 2M x 2M matrix."""
+    """Max-norm residual of P^T omega P = -omega for a full 2M x 2M matrix,
+    with the standard form omega = [[0, -I], [I, 0]]."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % 2 != 0:
         raise ValueError("P must be square of even dimension")
-    omega = SymplecticForm(P.shape[0] // 2).matrix().astype(float)
+    omega = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(P.shape[0] // 2))
     return float(np.max(np.abs(P.T @ omega @ P + omega)))
-
-
-def is_antisymplectic_matrix(P: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return antisymplectic_residual(P) <= tol
 
 
 def is_antisymplectic(op: TimeReversalOp, tol: float = DEFAULT_TOL) -> bool:
     """True iff the induced map diag(A, -A) satisfies M^T omega M = -omega."""
-    return is_antisymplectic_matrix(op.induced(), tol)
+    return antisymplectic_residual(op.induced()) <= tol
 
 
 def apply(op: TimeReversalOp, point: PhasePoint) -> PhasePoint:

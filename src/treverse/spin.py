@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldSpec, eval_field
-from .phasespace import TimeReversalOp
+from .fields import FieldSpec, _sample_points, _validated_block, eval_field
 
 UNITARY_TOL = 1e-14
 SU2_DET_TOL = 1e-12
@@ -191,23 +190,23 @@ def spin_lift(block) -> np.ndarray:
     preimage.  Together with complex conjugation, U_s reverses spins
     consistently with how the spatial block transforms the field.
     """
-    m = block.matrix() if isinstance(block, TimeReversalOp) else np.asarray(block, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError("expected a 3x3 spatial block")
-    if np.max(np.abs(m @ m.T - np.eye(3))) > SO3_TOL or \
-            np.max(np.abs(m @ m - np.eye(3))) > SO3_TOL:
-        raise ValueError("spatial block must be an orthogonal involution")
+    m, _ = _validated_block(block)
     p = float(np.linalg.det(m)) * m
     return so3_to_su2(p) @ pauli("y")
 
 
 def spin_coupling_residual(block, U_s, spec: FieldSpec, samples: int = 100,
-                           box: float = 1.0, seed: int = 0) -> float:
-    """Max deviation of U_s K (sigma . B)(M x) K U_s^-1 from (sigma . B)(x)."""
-    m = block.matrix() if isinstance(block, TimeReversalOp) else np.asarray(block, dtype=float)
+                           seed: int = 0) -> float:
+    """Max deviation of U_s K (sigma . B)(M x) K U_s^-1 from (sigma . B)(x)
+    over random points of spec.box.
+
+    At most 1e-10 for lifts of blocks that satisfy the field compatibility
+    condition; of order |B| otherwise, e.g. for the identity block with
+    sigma_y against a constant field.
+    """
+    m, _ = _validated_block(block)
     U_s = _require_unitary(U_s)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-box, box, size=(samples, 3))
+    pts = _sample_points(samples, spec.box, seed)
     sig = pauli_vector()
     b_here = eval_field(spec, pts)
     b_there = eval_field(spec, pts @ m.T)
@@ -220,18 +219,6 @@ def spin_coupling_residual(block, U_s, spec: FieldSpec, samples: int = 100,
     return worst
 
 
-def verify_spin_coupling(block, U_s, spec: FieldSpec, samples: int = 100,
-                         tol: float = 1e-10, box: float = 1.0,
-                         seed: int = 0) -> bool:
-    """Whether the lifted operator leaves the spin-field coupling invariant.
-
-    Guaranteed for lifts of blocks that satisfy the field compatibility
-    condition; returns False (rather than raising) otherwise, e.g. for the
-    identity block with sigma_y against a constant field.
-    """
-    return spin_coupling_residual(block, U_s, spec, samples, box, seed) <= tol
-
-
 def conjugation_identity_check(U, tol: float = CONJUGATION_TOL) -> bool:
     """sigma_y U sigma_y = conj(U) for special unitary U."""
     U = _require_unitary(U)
@@ -239,20 +226,3 @@ def conjugation_identity_check(U, tol: float = CONJUGATION_TOL) -> bool:
         raise ValueError("matrix must be special unitary (det = 1)")
     sy = pauli("y")
     return bool(np.max(np.abs(sy @ U @ sy - U.conj())) <= tol)
-
-
-@dataclass(frozen=True)
-class SU2Element:
-    """Axis-angle parameterization of a unitary, with an overall phase."""
-
-    lambda0: float
-    vec: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        v = np.asarray(self.vec, dtype=float)
-        lam = float(np.linalg.norm(v))
-        out = np.cos(lam / 2.0) * np.eye(2, dtype=complex)
-        if lam > 0.0:
-            axis = np.tensordot(v / lam, pauli_vector(), axes=(0, 0))
-            out = out + 1j * np.sin(lam / 2.0) * axis
-        return np.exp(0.5j * self.lambda0) * out

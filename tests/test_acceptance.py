@@ -10,11 +10,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
-from scipy.linalg import expm
-
-from treverse import kubo as kb
-from treverse import spin as sp
 from treverse import verify as vf
 
 SEED = 42
@@ -57,54 +52,16 @@ def test_criterion_4_spin_lift():
            f"pairs={record['lifted_pairs']}")
 
 
-def _quadrature_oracle(system, beta, phi, psi, t, npts=128):
-    h = system.hamiltonian()
-    hs = h - np.linalg.norm(h, 2) * np.eye(h.shape[0])
-    x, w = np.polynomial.legendre.leggauss(npts)
-    lam = 0.5 * beta * (x + 1.0)
-    weights = 0.5 * beta * w
-    z = np.trace(expm(-beta * hs)).real
-    u = expm(1j * h * t)
-    psit = u @ psi @ u.conj().T
-    total = sum(ww * np.trace(expm(-(beta - l) * hs) @ phi @ expm(-l * hs) @ psit)
-                for l, ww in zip(lam, weights))
-    return (total / (beta * z)).real
-
-
 def test_criterion_5_kubo_correlator():
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    worst_imag = 0.0
-    worst_quad = 0.0
-    for k in range(200):
-        n = int(rng.integers(1, 4))
-        system = kb.SpinSystem(rng.uniform(-1, 1, (n, 3)), rng.uniform(0.5, 1.5, n),
-                               {(0, 1): float(rng.uniform(-0.5, 0.5))} if n > 1 else {})
-        dim = system.dim
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        phi = kb.Observable((raw + raw.conj().T) / 2)
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        psi = kb.Observable((raw + raw.conj().T) / 2)
-        beta = float(rng.uniform(0.2, 2.0))
-        t = float(rng.uniform(-2.0, 2.0))
-        value = kb.canonical_correlator(system, beta, phi, psi, t)
-        worst_imag = max(worst_imag, value.imag_residual)
-        if k < 50:        # quadrature oracle on the first fifty systems
-            oracle = _quadrature_oracle(system, beta, phi.matrix, psi.matrix, t)
-            worst_quad = max(worst_quad, abs(value.value - oracle))
-    system = vf.documented_two_spin_system()
-    tr = kb.SpinTimeReversal((sp.pauli("x"), sp.pauli("x")))
-    phi = kb.Observable(kb.site_operator(sp.pauli("x"), 0, 2))
-    psi = kb.Observable(kb.site_operator(sp.pauli("x"), 1, 2))
-    symmetry = kb.verify_kubo_symmetry(system, tr, phi, psi,
-                                       np.linspace(0.0, 10.0, 16),
-                                       beta=1.3, tol=1e-8)
+    record = vf.check_kubo(SEED, n_random=200)
     elapsed = time.perf_counter() - start
-    passed = (worst_imag <= 1e-10 and worst_quad <= 1e-8
-              and symmetry.passed and elapsed < 30.0)
+    passed = (record["passed"] and record["worst_imag"] <= 1e-10
+              and record["worst_quadrature"] <= 1e-8
+              and record["symmetry_deviation"] <= 1e-8 and elapsed < 30.0)
     report(5, "Kubo correlator", passed,
-           f"imag={worst_imag:.1e} quad={worst_quad:.1e} "
-           f"symmetry={symmetry.max_deviation:.1e} runtime={elapsed:.1f}s")
+           f"imag={record['worst_imag']:.1e} quad={record['worst_quadrature']:.1e} "
+           f"symmetry={record['symmetry_deviation']:.1e} runtime={elapsed:.1f}s")
 
 
 def test_criterion_6_md_oracle():

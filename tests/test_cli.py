@@ -69,6 +69,14 @@ def test_enumerate_csv(capsys):
     assert len(lines) == 7
 
 
+def test_csv_only_where_rows_exist(capsys, tmp_path):
+    # classes has no tabular form, so it takes no --format
+    code, *_ = run_cli(["classes", "--dim", "2", "--format", "csv",
+                        "--out", str(tmp_path / "D")], capsys)
+    assert code == 1
+    assert not (tmp_path / "D").exists()
+
+
 def test_classes_output(capsys):
     code, out, _ = run_cli(["classes", "--dim", "3"], capsys)
     assert code == 0
@@ -153,12 +161,15 @@ def test_kubo_correlator_csv(tmp_path, capsys):
 def test_kubo_symmetry_check(tmp_path, capsys):
     system = tmp_path / "system.txt"
     system.write_text(TWO_SPIN_SYSTEM)
-    code, out, _ = run_cli(["kubo", "--system", str(system), "--beta", "1.3",
-                            "--times", "0:10:16", "--phi", "sigma:x:0",
-                            "--psi", "sigma:x:1", "--tr", "x,x"], capsys)
+    args = ["kubo", "--system", str(system), "--beta", "1.3", "--times", "0:10:16",
+            "--phi", "sigma:x:0", "--psi", "sigma:x:1", "--tr", "x,x"]
+    code, out, _ = run_cli(args, capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True and payload["max_deviation"] <= 1e-8
+    # a zero tolerance is kept, not replaced by the default
+    code, out, _ = run_cli(args + ["--tol", "0"], capsys)
+    assert code == 2 and json.loads(out)["passed"] is False
 
 
 def test_kubo_noncommuting_tr_is_error(tmp_path, capsys):

@@ -5,18 +5,15 @@ from treverse.cli import parse_field_file
 from treverse.enumeration import single_particle_catalog
 from treverse.fields import (
     FieldSpec,
-    GaugeChoice,
     InvalidOperation,
     builtin_fields,
     check_A_compat,
     check_B_compat,
     continuous_family,
     curl_fd,
-    default_gauge,
     eval_field,
     find_compatible,
     parse_field,
-    species_block_constraint,
     vector_potential,
 )
 
@@ -42,20 +39,20 @@ def test_axial_constant_profile_degenerates():
 
 
 def test_symmetric_gauge_value():
-    assert np.allclose(vector_potential(CONST_Z, None, [1.0, 0, 0]), [0, 0.5, 0])
+    assert np.allclose(vector_potential(CONST_Z, [1.0, 0, 0]), [0, 0.5, 0])
 
 
 def test_gauges_vanish_at_origin():
     for spec in builtin_fields().values():
-        assert np.allclose(vector_potential(spec, None, [0.0, 0, 0]), 0.0)
+        assert np.allclose(vector_potential(spec, [0.0, 0, 0]), 0.0)
 
 
 def test_azimuthal_constant_matches_symmetric():
     axial_one = FieldSpec.axial([1.0])
-    assert np.allclose(vector_potential(axial_one, None, [1.0, 0, 0]), [0, 0.5, 0])
+    assert np.allclose(vector_potential(axial_one, [1.0, 0, 0]), [0, 0.5, 0])
     pts = np.random.default_rng(2).uniform(-1, 1, (50, 3))
-    azim = vector_potential(axial_one, None, pts)
-    symm = vector_potential(CONST_Z, None, pts)
+    azim = vector_potential(axial_one, pts)
+    symm = vector_potential(CONST_Z, pts)
     # both are Coulomb-gauge potentials of the same field; z components differ
     assert np.allclose(azim[:, :2], symm[:, :2], atol=1e-14)
 
@@ -64,7 +61,7 @@ def test_gauge_curl_consistency():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, (1000, 3))
     for spec in builtin_fields().values():
-        curl = curl_fd(lambda y, s=spec: vector_potential(s, None, y), pts)
+        curl = curl_fd(lambda y, s=spec: vector_potential(s, y), pts)
         assert np.max(np.abs(curl - eval_field(spec, pts))) <= 1e-6
 
 
@@ -78,8 +75,8 @@ def test_coulomb_gauges_divergence_free():
         for j in range(3):
             dx = np.zeros(3)
             dx[j] = h
-            div += (vector_potential(spec, None, pts + dx)[:, j]
-                    - vector_potential(spec, None, pts - dx)[:, j]) / (2 * h)
+            div += (vector_potential(spec, pts + dx)[:, j]
+                    - vector_potential(spec, pts - dx)[:, j]) / (2 * h)
         assert np.max(np.abs(div)) < 1e-6
 
 
@@ -160,13 +157,6 @@ def test_continuous_family_compatible_with_constant_z():
         assert rep.verdict
 
 
-def test_species_block_constraint():
-    assert species_block_constraint([1, 1], [1, 1]) == "unrestricted"
-    assert species_block_constraint([1, 2], [1, 1]) == "per-particle-blocks-required"
-    assert species_block_constraint([1], [1]) == "unrestricted"
-    with pytest.raises(ValueError):
-        species_block_constraint([], [])
-
 
 def test_planar_requires_symmetric_matrix():
     with pytest.raises(ValueError):
@@ -221,14 +211,3 @@ def test_field_box_controls_compat_sampling():
     r_wide = check_B_compat(np.eye(3), wide).max_residual
     assert 2.0 <= r_narrow <= 2.5
     assert r_wide > 10.0
-
-
-def test_gauge_family_mismatch_rejected():
-    with pytest.raises(ValueError):
-        vector_potential(CONST_Z, GaugeChoice("azimuthal"), [1.0, 0, 0])
-
-
-def test_default_gauge_tags():
-    assert default_gauge(CONST_Z).tag == "symmetric"
-    assert default_gauge(FieldSpec.axial([1.0])).tag == "azimuthal"
-    assert default_gauge(builtin_fields()["planar-quartic"]).tag == "planar"

@@ -17,6 +17,7 @@ from treverse.kubo import (
 )
 from treverse.kubo import _correlator_in_basis
 from treverse.spin import catalog_spin_ops, pauli
+from treverse.verify import _expm
 
 
 def quadrature_oracle(system, beta, phi, psi, t, npts=128):
@@ -95,6 +96,19 @@ def test_quadrature_oracle_agreement():
         mine = canonical_correlator(system, beta, phi, psi, t)
         oracle = quadrature_oracle(system, beta, phi.matrix, psi.matrix, t)
         assert mine.value == pytest.approx(oracle, abs=1e-8)
+
+
+def test_expm_matches_scipy():
+    # the Taylor exponential behind the verify-suite quadrature oracle
+    rng = np.random.default_rng(14)
+    for dim in (2, 4, 8):
+        for _ in range(10):
+            h = random_observable(rng, dim).matrix
+            beta = float(rng.uniform(0.2, 2.0))
+            t = float(rng.uniform(-2.0, 2.0))
+            for a in (-beta * h, 1j * h * t):
+                ref = expm(a)
+                assert np.linalg.norm(_expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_reality_on_random_pairs():

@@ -4,24 +4,26 @@ import pytest
 from treverse.fields import FieldSpec, builtin_fields, check_B_compat, continuous_family
 from treverse.enumeration import single_particle_catalog
 from treverse.spin import (
-    SU2Element,
     catalog_spin_ops,
     check_su2_preservation,
     conjugation_identity_check,
     pauli,
+    pauli_vector,
     so3_to_su2,
     spin_coupling_residual,
     spin_lift,
     su2_to_so3,
     t_squared_sign,
-    verify_spin_coupling,
 )
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
 
 def random_su2(rng):
-    return SU2Element(0.0, rng.normal(size=3)).matrix()
+    """w I - i v.sigma for a random unit quaternion (w, v)."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    return q[0] * np.eye(2) - 1j * np.tensordot(q[1:], pauli_vector(), axes=(0, 0))
 
 
 def test_pauli_squares():
@@ -158,7 +160,7 @@ def test_spin_coupling_on_compatible_pairs():
             if not check_B_compat(op, spec).verdict:
                 continue
             us = spin_lift(op)
-            assert verify_spin_coupling(op, us, spec, samples=50, tol=1e-10)
+            assert spin_coupling_residual(op, us, spec, samples=50) <= 1e-10
 
 
 def test_spin_coupling_continuous_family():
@@ -171,23 +173,23 @@ def test_spin_coupling_continuous_family():
 
 def test_canonical_spin_reversal_fails_without_field_flip():
     const_z = FieldSpec.constant([0.0, 0.0, 1.0])
-    assert not verify_spin_coupling(np.eye(3), SY, const_z)
+    assert spin_coupling_residual(np.eye(3), SY, const_z) > 1e-10
+
+
+def test_spin_coupling_samples_field_box():
+    # an incompatible pair's residual grows with the field over spec.box
+    narrow = FieldSpec.axial([1.0, 0.5], box=0.5)
+    wide = FieldSpec.axial([1.0, 0.5], box=3.0)
+    assert spin_coupling_residual(np.eye(3), SY, wide) > \
+        spin_coupling_residual(np.eye(3), SY, narrow)
 
 
 def test_conjugation_identity():
     assert conjugation_identity_check(np.eye(2))
-    u = SU2Element(0.0, np.array([np.pi / 3, 0.0, 0.0])).matrix()
+    u = np.cos(np.pi / 6) * np.eye(2) + 1j * np.sin(np.pi / 6) * SX
     assert conjugation_identity_check(u)
     rng = np.random.default_rng(3)
     assert all(conjugation_identity_check(random_su2(rng)) for _ in range(100))
-
-
-def test_su2_element_unit_determinant():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        u = SU2Element(0.0, rng.normal(size=3)).matrix()
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12
-        assert np.allclose(u @ u.conj().T, np.eye(2))
 
 
 def test_lift_matches_field_transformation_chain():
