@@ -7,6 +7,12 @@ half rotation, half kick.  The palindrome makes one step exactly conjugate
 to its inverse under any compatible per-particle map, which is what the
 conjugacy check exercises.
 
+Each step evaluates the WCA forces once: the closing kick's forces are
+those of the positions the next step starts from, so they are carried in
+MDState and reused by the next opening kick.  The force kernel visits
+each i<j pair once and evaluates the potential only inside the cutoff; its
+result is bitwise equal to the dense all-pairs sum.
+
 Trajectories are vectorized: state arrays have shape (R, N, 3) for R
 independent trajectories of N particles.  Per-trajectory random streams
 are derived from the master seed by counter, so results do not depend on
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,51 +84,84 @@ class SimConfig:
 
 @dataclass
 class MDState:
-    """Positions (unwrapped) and velocities, shape (R, N, 3)."""
+    """Positions (unwrapped) and velocities, shape (R, N, 3).
+
+    force, when set, is forces(pos, cfg) for the interacting config being
+    stepped; step reuses it for its opening kick.  A state whose positions
+    were changed by anything but step must carry force None.
+    """
 
     pos: np.ndarray
     vel: np.ndarray
+    force: np.ndarray | None = None
 
     def copy(self) -> "MDState":
-        return MDState(self.pos.copy(), self.vel.copy())
+        force = None if self.force is None else self.force.copy()
+        return MDState(self.pos.copy(), self.vel.copy(), force)
 
 
 def _wrap(pos: np.ndarray, box: float) -> np.ndarray:
     return pos - box * np.rint(pos / box)
 
 
-def _pair_terms(pos: np.ndarray, cfg: SimConfig):
-    """Minimum-image displacements and squared distances, diagonal masked."""
-    d = pos[:, :, None, :] - pos[:, None, :, :]
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i<j pairs of n particles, ordered by i then j."""
+    return np.triu_indices(n, 1)
+
+
+def _pair_r2(pos: np.ndarray, cfg: SimConfig):
+    """Minimum-image displacements x_i - x_j and squared distances, (R, P)."""
+    i, j = _pair_index(pos.shape[1])
+    d = pos[:, i, :] - pos[:, j, :]
     d -= cfg.box * np.rint(d / cfg.box)
-    r2 = np.sum(d * d, axis=-1)
-    n = pos.shape[1]
-    r2[:, np.arange(n), np.arange(n)] = np.inf
-    return d, r2
+    return d, np.sum(d * d, axis=-1)
+
+
+def _close_pairs(pos: np.ndarray, cfg: SimConfig):
+    """The pairs inside the WCA cutoff: trajectory, i < j, x_i - x_j and r^2."""
+    d, r2 = _pair_r2(pos, cfg)
+    traj, pair = np.nonzero(r2 < (WCA_CUTOFF * cfg.wca_sigma) ** 2)
+    i, j = _pair_index(pos.shape[1])
+    return traj, i[pair], j[pair], d[traj, pair], r2[traj, pair]
 
 
 def forces(pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """WCA pair forces; zero array when the potential is off."""
+    """WCA pair forces; zero array when the potential is off.
+
+    Pairs outside the cutoff contribute signed zeros to the dense sum, which
+    leave it unchanged, so only pairs inside are evaluated.  Particle i gets
+    the terms of its partners in ascending order, as the dense sum does:
+    the -f terms of partners j < i come first in pair order, then the +f
+    terms of partners j > i, and bincount adds them in that order.
+    """
     if not cfg.interacting or cfg.n == 1:
         return np.zeros_like(pos)
-    d, r2 = _pair_terms(pos, cfg)
-    cut2 = (WCA_CUTOFF * cfg.wca_sigma) ** 2
-    inv2 = np.where(r2 < cut2, cfg.wca_sigma ** 2 / r2, 0.0)
+    traj, i, j, d, r2 = _close_pairs(pos, cfg)
+    inv2 = cfg.wca_sigma ** 2 / r2
     inv6 = inv2 ** 3
     coef = 24.0 * cfg.wca_epsilon * (2.0 * inv6 * inv6 - inv6) * inv2 / cfg.wca_sigma ** 2
-    return np.einsum("rijk,rij->rik", d, coef)
+    f = d * coef[:, None]
+    n = pos.shape[1]
+    rows = np.concatenate([traj * n + j, traj * n + i])
+    bins = (3 * rows[:, None] + np.arange(3)).ravel()
+    total = np.bincount(bins, weights=np.concatenate([-f, f]).ravel(), minlength=pos.size)
+    return total.reshape(pos.shape)
 
 
 def potential_energy(pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Per-trajectory WCA potential energy (truncated and shifted)."""
     if not cfg.interacting or cfg.n == 1:
         return np.zeros(pos.shape[0])
-    _, r2 = _pair_terms(pos, cfg)
-    cut2 = (WCA_CUTOFF * cfg.wca_sigma) ** 2
-    inside = r2 < cut2
-    inv6 = np.where(inside, (cfg.wca_sigma ** 2 / r2) ** 3, 0.0)
-    pair = np.where(inside, 4.0 * cfg.wca_epsilon * (inv6 * inv6 - inv6) + cfg.wca_epsilon, 0.0)
-    return 0.5 * np.sum(pair, axis=(1, 2))
+    traj, i, j, _, r2 = _close_pairs(pos, cfg)
+    inv6 = (cfg.wca_sigma ** 2 / r2) ** 3
+    pair = 4.0 * cfg.wca_epsilon * (inv6 * inv6 - inv6) + cfg.wca_epsilon
+    # summed as the full symmetric (R, N, N) matrix, in the dense order
+    r, n = pos.shape[:2]
+    matrix = np.zeros((r, n, n))
+    matrix[traj, i, j] = pair
+    matrix[traj, j, i] = pair
+    return 0.5 * np.sum(matrix, axis=(1, 2))
 
 
 def energy(state: MDState, cfg: SimConfig) -> np.ndarray:
@@ -142,17 +182,19 @@ def step(state: MDState, cfg: SimConfig) -> MDState:
     """One palindromic step: kick(dt/2) rotate(dt/2) drift(dt) rotate(dt/2) kick(dt/2)."""
     dt = cfg.dt
     qm = cfg.charge / cfg.mass
-    pos, vel = state.pos, state.vel
+    pos, vel, force = state.pos, state.vel, None
     if cfg.interacting:
-        vel = vel + (0.5 * dt / cfg.mass) * forces(pos, cfg)
+        force = forces(pos, cfg) if state.force is None else state.force
+        vel = vel + (0.5 * dt / cfg.mass) * force
     bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
     vel = _boris_rotate(vel, bvec, qm * dt / 4.0)
     pos = pos + dt * vel
     bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
     vel = _boris_rotate(vel, bvec, qm * dt / 4.0)
     if cfg.interacting:
-        vel = vel + (0.5 * dt / cfg.mass) * forces(pos, cfg)
-    return MDState(pos, vel)
+        force = forces(pos, cfg)
+        vel = vel + (0.5 * dt / cfg.mass) * force
+    return MDState(pos, vel, force)
 
 
 def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
@@ -189,7 +231,7 @@ def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
             v -= v.mean(axis=0, keepdims=True)
         vel[row] = v
     if cfg.interacting and n > 1:
-        _, r2 = _pair_terms(pos, cfg)
+        _, r2 = _pair_r2(pos, cfg)
         if np.min(r2) < min_sep ** 2:
             raise ValueError("packing fraction too high to place particles")
     return MDState(pos, vel)
@@ -205,7 +247,7 @@ def equilibrate(state: MDState, cfg: SimConfig) -> MDState:
         if (k + 1) % cfg.thermostat_interval == 0:
             kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
             factor = np.sqrt(target / np.maximum(kinetic, 1e-300))
-            state = MDState(state.pos, state.vel * factor[:, None, None])
+            state = MDState(state.pos, state.vel * factor[:, None, None], state.force)
     return state
 
 

@@ -18,15 +18,18 @@ from treverse.md import (
     equilibrate,
     flip_field,
     forced_zero_pairs,
+    forces,
     init_state,
     jackknife_se,
     phasepoint_from_state,
+    potential_energy,
     state_from_phasepoint,
     step,
     vanishing_correlator_check,
     velocity_correlator,
 )
-from treverse.md import _chunk_correlators, _normalize_pairs
+from treverse import md
+from treverse.md import WCA_CUTOFF, _apply_block, _chunk_correlators, _normalize_pairs
 from treverse.phasespace import PhasePoint, TimeReversalOp
 from treverse.verify import md_fields
 
@@ -136,6 +139,88 @@ def test_energy_drift_long_interacting_run():
             energies.append(energy(state, cfg)[0])
     drift = np.max(np.abs(np.array(energies) - energies[0])) / abs(energies[0])
     assert drift <= 1e-4
+
+
+def _dense_pairs(pos, cfg):
+    d = pos[:, :, None, :] - pos[:, None, :, :]
+    d -= cfg.box * np.rint(d / cfg.box)
+    r2 = np.sum(d * d, axis=-1)
+    n = pos.shape[1]
+    r2[:, np.arange(n), np.arange(n)] = np.inf
+    return d, r2
+
+
+def dense_forces(pos, cfg):
+    # the all-pairs kernel the half-pair one replaced, kept as its oracle
+    d, r2 = _dense_pairs(pos, cfg)
+    cut2 = (WCA_CUTOFF * cfg.wca_sigma) ** 2
+    inv2 = np.where(r2 < cut2, cfg.wca_sigma ** 2 / r2, 0.0)
+    inv6 = inv2 ** 3
+    coef = 24.0 * cfg.wca_epsilon * (2.0 * inv6 * inv6 - inv6) * inv2 / cfg.wca_sigma ** 2
+    return np.einsum("rijk,rij->rik", d, coef)
+
+
+def dense_potential_energy(pos, cfg):
+    _, r2 = _dense_pairs(pos, cfg)
+    cut2 = (WCA_CUTOFF * cfg.wca_sigma) ** 2
+    inside = r2 < cut2
+    inv6 = np.where(inside, (cfg.wca_sigma ** 2 / r2) ** 3, 0.0)
+    pair = np.where(inside, 4.0 * cfg.wca_epsilon * (inv6 * inv6 - inv6) + cfg.wca_epsilon, 0.0)
+    return 0.5 * np.sum(pair, axis=(1, 2))
+
+
+@pytest.mark.parametrize("r", [1, 5, 40])
+@pytest.mark.parametrize("n", [2, 16, 27])
+def test_half_pair_kernel_bitwise_equals_dense(r, n):
+    # dilute: the criterion-7 density a few steps after set-up
+    dilute = SimConfig(n=n, field=CONST_Z, dt=0.002, steps=5, box_half=2.55,
+                       wca_epsilon=1.0, seed=n, n_trajectories=r)
+    state = init_state(dilute)
+    for _ in range(dilute.steps):
+        state = step(state, dilute)
+    # compressed: most pairs inside the cutoff, positions spread over three
+    # box widths so the minimum image folds most displacements
+    compressed = SimConfig(n=n, field=CONST_Z, dt=0.002, steps=1, box_half=0.75,
+                           wca_epsilon=1.3, wca_sigma=0.9, seed=n, n_trajectories=r)
+    rng = np.random.default_rng([r, n])
+    packed = rng.uniform(-2.25, 2.25, size=(r, n, 3))
+    _, r2 = _dense_pairs(packed, compressed)
+    off_diagonal = r2[np.isfinite(r2)]
+    assert np.mean(off_diagonal < (WCA_CUTOFF * 0.9) ** 2) > 0.5
+    for pos, cfg in ((state.pos, dilute), (packed, compressed)):
+        assert forces(pos, cfg).tobytes() == dense_forces(pos, cfg).tobytes()
+        assert potential_energy(pos, cfg).tobytes() == dense_potential_energy(pos, cfg).tobytes()
+
+
+def test_force_cache_matches_fresh_evaluation(monkeypatch):
+    cfg = SimConfig(n=16, field=CONST_Z, dt=0.002, steps=30, box_half=2.55,
+                    wca_epsilon=1.0, seed=4, n_trajectories=3, equilibration=20,
+                    thermostat_interval=5)
+
+    def run():
+        state = equilibrate(init_state(cfg), cfg)
+        for _ in range(cfg.steps):
+            state = md.step(state, cfg)
+        return state
+
+    cached = run()
+    assert cached.force.tobytes() == forces(cached.pos, cfg).tobytes()
+    real_step = md.step
+    monkeypatch.setattr(md, "step", lambda state, c: real_step(MDState(state.pos, state.vel), c))
+    stripped = run()
+    monkeypatch.undo()
+    for name in ("pos", "vel", "force"):
+        assert getattr(cached, name).tobytes() == getattr(stripped, name).tobytes()
+
+    # the conjugacy map moves positions, so the cached force must go with it
+    reflected = _apply_block(cached, KAWASAKI.matrix())
+    assert reflected.force is None
+    after = step(reflected, cfg)
+    fresh = step(MDState(reflected.pos.copy(), reflected.vel.copy()), cfg)
+    assert after.vel.tobytes() == fresh.vel.tobytes()
+    copied = cached.copy()
+    assert copied.force is not cached.force
+    assert copied.force.tobytes() == cached.force.tobytes()
 
 
 def test_conjugacy_free_particle():
