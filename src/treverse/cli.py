@@ -388,7 +388,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     pairs = _parse_pairs(args.pairs) if args.pairs else md.component_pairs()
-    max_lag = args.max_lag if args.max_lag else cfg.steps * cfg.dt / 4.0
+    max_lag = cfg.steps * cfg.dt / 4.0 if args.max_lag is None else args.max_lag
     corr = md.velocity_correlator(cfg, pairs, max_lag, stride=args.stride)
     payload = _correlator_payload(corr)
     _emit(payload, "csv", args.out, "correlators")
@@ -406,8 +406,8 @@ def cmd_correlate(args) -> int:
     cfg = parse_sim_config(Path(args.config).read_text())
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    max_lag = args.max_lag if args.max_lag else cfg.steps * cfg.dt / 4.0
-    t_max = args.t_max if args.t_max else max_lag
+    max_lag = cfg.steps * cfg.dt / 4.0 if args.max_lag is None else args.max_lag
+    t_max = max_lag if args.t_max is None else args.t_max
     corr = md.velocity_correlator(cfg, md.component_pairs(), max_lag,
                                   stride=args.stride)
     tensor = md.diffusion_tensor(corr, t_max)

@@ -13,6 +13,11 @@ MDState and reused by the next opening kick.  The force kernel visits
 each i<j pair once and evaluates the potential only inside the cutoff; its
 result is bitwise equal to the dense all-pairs sum.
 
+The rotation writes out its cross products and |t|^2 per component, with
+the operations np.cross and np.sum perform in the same order, so it is
+bitwise equal to the form that calls them.  A constant field is not
+evaluated: the rotation uses its vector directly.
+
 Trajectories are vectorized: state arrays have shape (R, N, 3) for R
 independent trajectories of N particles.  Per-trajectory random streams
 are derived from the master seed by counter, so results do not depend on
@@ -27,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldSpec, eval_field, field_scale
+from .fields import FAMILY_CONSTANT, FieldSpec, eval_field, field_scale
 from .phasespace import PhasePoint, TimeReversalOp
 
 WCA_CUTOFF = 2.0 ** (1.0 / 6.0)
@@ -170,27 +175,50 @@ def energy(state: MDState, cfg: SimConfig) -> np.ndarray:
     return kinetic + potential_energy(state.pos, cfg)
 
 
+# the components of a x b are the differences of the products
+# a[_CROSS_A] * b[_CROSS_B], first half minus second half
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, with the operations np.cross performs."""
+    prod = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return prod[..., :3] - prod[..., 3:]
+
+
 def _boris_rotate(vel: np.ndarray, bvec: np.ndarray, half_angle: float) -> np.ndarray:
-    """Exact rotation of velocities about bvec, tan-half-angle form."""
+    """Exact rotation of velocities about bvec, tan-half-angle form.
+
+    bvec has the shape of vel, or (3,) for a field that does not vary.
+    """
     t = half_angle * bvec
-    vp = vel + np.cross(vel, t)
-    s = 2.0 * t / (1.0 + np.sum(t * t, axis=-1, keepdims=True))
-    return vel + np.cross(vp, s)
+    vp = vel + _cross(vel, t)
+    # the order in which np.sum adds the three squares
+    norm = (t[..., 0] * t[..., 0] + t[..., 1] * t[..., 1]) + t[..., 2] * t[..., 2]
+    s = 2.0 * t / (1.0 + norm)[..., None]
+    return vel + _cross(vp, s)
+
+
+def _half_rotate(vel: np.ndarray, pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Rotate velocities for dt/2 in the field at pos."""
+    if cfg.field.family == FAMILY_CONSTANT:
+        bvec = cfg.field.b
+    else:
+        bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
+    return _boris_rotate(vel, bvec, cfg.charge / cfg.mass * cfg.dt / 4.0)
 
 
 def step(state: MDState, cfg: SimConfig) -> MDState:
     """One palindromic step: kick(dt/2) rotate(dt/2) drift(dt) rotate(dt/2) kick(dt/2)."""
     dt = cfg.dt
-    qm = cfg.charge / cfg.mass
     pos, vel, force = state.pos, state.vel, None
     if cfg.interacting:
         force = forces(pos, cfg) if state.force is None else state.force
         vel = vel + (0.5 * dt / cfg.mass) * force
-    bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
-    vel = _boris_rotate(vel, bvec, qm * dt / 4.0)
+    vel = _half_rotate(vel, pos, cfg)
     pos = pos + dt * vel
-    bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
-    vel = _boris_rotate(vel, bvec, qm * dt / 4.0)
+    vel = _half_rotate(vel, pos, cfg)
     if cfg.interacting:
         force = forces(pos, cfg)
         vel = vel + (0.5 * dt / cfg.mass) * force
@@ -360,6 +388,8 @@ def velocity_correlator(cfg: SimConfig, pairs, max_lag: float,
     jackknife errors and downstream Green-Kubo integrals propagate
     consistently.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     pairs = _normalize_pairs(pairs)
     dt_sample = cfg.dt * stride
     production = cfg.steps * cfg.dt

@@ -205,6 +205,28 @@ def test_correlate_diffusion_json(tmp_path, capsys):
     assert code == (0 if payload["antisymmetry"]["passed"] else 2)
 
 
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_simulate_rejects_stride_below_one(tmp_path, capsys, stride):
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, _, err = run_cli(["simulate", "--config", str(config),
+                            "--stride", stride], capsys)
+    assert code == 1 and "stride" in err
+
+
+def test_zero_max_lag_and_t_max_are_honoured(tmp_path, capsys):
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, out, _ = run_cli(["simulate", "--config", str(config), "--pairs", "x,x",
+                            "--max-lag", "0"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0.0,")
+    code, out, _ = run_cli(["correlate", "--config", str(config),
+                            "--max-lag", "0.5", "--t-max", "0"], capsys)
+    assert json.loads(out)["t_max"] == 0.0
+
+
 def test_deterministic_outputs(tmp_path):
     # identical args and seed give byte-identical files
     config = tmp_path / "sim.txt"

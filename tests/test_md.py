@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treverse.cli import parse_sim_config
-from treverse.fields import FieldSpec
+from treverse.fields import FieldSpec, eval_field
 from treverse.md import (
     CorrelatorEstimate,
     MDState,
@@ -221,6 +221,76 @@ def test_force_cache_matches_fresh_evaluation(monkeypatch):
     copied = cached.copy()
     assert copied.force is not cached.force
     assert copied.force.tobytes() == cached.force.tobytes()
+
+
+def cross_boris_rotate(vel, bvec, half_angle):
+    # the np.cross form of the rotation, kept as its oracle
+    t = half_angle * bvec
+    vp = vel + np.cross(vel, t)
+    s = 2.0 * t / (1.0 + np.sum(t * t, axis=-1, keepdims=True))
+    return vel + np.cross(vp, s)
+
+
+def field_evaluating_step(state, cfg):
+    # the step that evaluated every field at the wrapped positions and
+    # rotated with the np.cross form, kept as its oracle
+    dt = cfg.dt
+    qm = cfg.charge / cfg.mass
+    pos, vel, force = state.pos, state.vel, None
+    if cfg.interacting:
+        force = forces(pos, cfg) if state.force is None else state.force
+        vel = vel + (0.5 * dt / cfg.mass) * force
+    bvec = eval_field(cfg.field, md._wrap(pos, cfg.box))
+    vel = cross_boris_rotate(vel, bvec, qm * dt / 4.0)
+    pos = pos + dt * vel
+    bvec = eval_field(cfg.field, md._wrap(pos, cfg.box))
+    vel = cross_boris_rotate(vel, bvec, qm * dt / 4.0)
+    if cfg.interacting:
+        force = forces(pos, cfg)
+        vel = vel + (0.5 * dt / cfg.mass) * force
+    return MDState(pos, vel, force)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (50, 1, 3), (325, 1, 3), (40, 16, 3), (7, 27, 3)])
+def test_boris_rotation_bitwise_equals_cross_form(shape):
+    rng = np.random.default_rng(list(shape))
+    for _ in range(20):
+        vel = rng.standard_normal(shape)
+        bvec = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 1.0)
+        half_angle = rng.uniform(1e-4, 0.3)
+        expected = cross_boris_rotate(vel, bvec, half_angle)
+        assert md._boris_rotate(vel, bvec, half_angle).tobytes() == expected.tobytes()
+        # a field that does not vary is passed as one 3-vector
+        uniform = np.broadcast_to(bvec[0, 0], shape)
+        expected = cross_boris_rotate(vel, uniform, half_angle)
+        assert md._boris_rotate(vel, bvec[0, 0], half_angle).tobytes() == expected.tobytes()
+
+
+WCA_FLUID = dict(n=16, dt=0.002, steps=200, box_half=2.55, wca_epsilon=1.0, seed=3,
+                 n_trajectories=4)
+
+
+@pytest.mark.parametrize("cfg", [
+    # tilted, so every component of B enters every cross product
+    SimConfig(n=1, field=FieldSpec.constant([0.3, -0.5, 0.4]), dt=0.02, steps=300,
+              seed=5, n_trajectories=50),
+    SimConfig(field=md_fields()["constant-z"], **WCA_FLUID),
+    SimConfig(field=md_fields()["axial-md"], **WCA_FLUID),
+    SimConfig(n=2, field=FieldSpec.planar([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+              dt=0.01, steps=300, seed=6, n_trajectories=20),
+    SimConfig(n=16, field=CONST_Z, dt=0.004, steps=200, wca_epsilon=1.0, box_half=1.71,
+              seed=7),
+], ids=["free-constant", "wca-constant-z", "wca-axial-md", "free-planar", "conjugacy-r1"])
+def test_step_bitwise_equals_field_evaluating_step(cfg):
+    state = init_state(cfg)
+    expected = state.copy()
+    for _ in range(cfg.steps):
+        state = step(state, cfg)
+        expected = field_evaluating_step(expected, cfg)
+    assert state.pos.tobytes() == expected.pos.tobytes()
+    assert state.vel.tobytes() == expected.vel.tobytes()
+    if cfg.interacting:
+        assert state.force.tobytes() == expected.force.tobytes()
 
 
 def test_conjugacy_free_particle():
