@@ -22,6 +22,15 @@ Trajectories are vectorized: state arrays have shape (R, N, 3) for R
 independent trajectories of N particles.  Per-trajectory random streams
 are derived from the master seed by counter, so results do not depend on
 how trajectories are chunked.
+
+The correlators are estimated chunk by chunk.  A chunk stores the sampled
+velocities of only the components its pairs read, and holds as many
+trajectories as fit in _CHUNK_FLOATS stored floats.  Its FFT runs in row
+blocks of trajectories, at most _CHUNK_FLOATS // 32 padded samples each,
+so the transforms' memory is bounded apart from the chunk.  Each block
+transforms every stored component once and forms each pair from those
+spectra; every per-trajectory result is bitwise equal to transforming
+both operands of each pair.
 """
 
 from __future__ import annotations
@@ -340,43 +349,67 @@ def jackknife_se(samples: np.ndarray) -> np.ndarray:
     return np.sqrt((r - 1) / r * np.sum((loo - center) ** 2, axis=0))
 
 
-def _fft_correlate(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:
-    """(1/(S-lag)) sum_t a[t] b[t+lag] along the last axis, all origins."""
-    s = a.shape[-1]
-    size = 1
-    while size < 2 * s:
-        size *= 2
-    fa = np.fft.rfft(a, size, axis=-1)
-    fb = np.fft.rfft(b, size, axis=-1)
-    cc = np.fft.irfft(fa.conj() * fb, size, axis=-1)[..., :n_lags]
-    return cc / (s - np.arange(n_lags))
+# Velocity floats one chunk stores.  Criterion 6 (2000 trajectories of 2049
+# samples, two components) fits, so it steps as one batch.  The FFT of a
+# chunk runs in row blocks of at most _CHUNK_FLOATS // 32 padded samples.
+_CHUNK_FLOATS = 1 << 23
+
+
+def _pair_components(pairs) -> str:
+    """The velocity components the pairs read, in xyz order."""
+    used = {c for _, a, _, b in pairs for c in (a, b)}
+    return "".join(c for c in COMPONENTS if c in used)
+
+
+def _fft_size(n_samples: int) -> int:
+    """Power-of-two length >= 2S: the circular correlation has no wrap-around."""
+    return 1 << (2 * n_samples - 1).bit_length()
+
+
+def _fft_correlate(series: np.ndarray, out: np.ndarray, comps: str, pairs) -> None:
+    """Fill out (R, n_pairs, n_lags) with (1/(S-lag)) sum_t a[t] b[t+lag].
+
+    series (len(comps), R, N, S) holds the sampled components; each is
+    transformed once.  Particle-averaged pairs take the mean over N.
+    """
+    s = series.shape[-1]
+    size = _fft_size(s)
+    n_lags = out.shape[-1]
+    norm = s - np.arange(n_lags)
+    spectra = [np.fft.rfft(x, size, axis=-1) for x in series]
+    for col, (i, a, j, b) in enumerate(pairs):
+        fa = spectra[comps.index(a)]
+        fb = spectra[comps.index(b)]
+        if i is None and j is None:
+            cc = np.fft.irfft(fa.conj() * fb, size, axis=-1)[..., :n_lags]
+            out[:, col] = (cc / norm).mean(axis=1)
+        else:
+            cc = np.fft.irfft(fa[:, i].conj() * fb[:, j], size, axis=-1)[..., :n_lags]
+            out[:, col] = cc / norm
 
 
 def _chunk_correlators(cfg: SimConfig, indices, stride: int, n_samples: int,
                        n_lags: int, pairs) -> tuple[np.ndarray, float]:
+    comps = _pair_components(pairs)
+    picks = [COMPONENTS.index(c) for c in comps]
     state = equilibrate(init_state(cfg, indices), cfg)
     r = len(indices)
-    vels = np.empty((r, n_samples, cfg.n, 3))
+    # particles innermost: the FFT outputs keep this memory order, so the
+    # particle mean sums contiguous values, which fixes its rounding
+    series = np.empty((len(comps), r, n_samples, cfg.n))
     e0 = energy(state, cfg)
     for s in range(n_samples):
-        vels[:, s] = state.vel
+        series[:, :, s] = np.moveaxis(state.vel[..., picks], -1, 0)
         if s < n_samples - 1:
             for _ in range(stride):
                 state = step(state, cfg)
     drift = float(np.max(np.abs(energy(state, cfg) - e0)
                          / np.maximum(np.abs(e0), 1e-300)))
     out = np.empty((r, len(pairs), n_lags))
-    for col, (i, a, j, b) in enumerate(pairs):
-        ai = COMPONENTS.index(a)
-        bi = COMPONENTS.index(b)
-        if i is None and j is None:
-            series_a = np.moveaxis(vels[:, :, :, ai], 1, -1)  # (r, N, S)
-            series_b = np.moveaxis(vels[:, :, :, bi], 1, -1)
-            out[:, col] = _fft_correlate(series_a, series_b, n_lags).mean(axis=1)
-        else:
-            series_a = vels[:, :, i, ai]
-            series_b = vels[:, :, j, bi]
-            out[:, col] = _fft_correlate(series_a, series_b, n_lags)
+    block = max(1, (_CHUNK_FLOATS >> 5) // (cfg.n * _fft_size(n_samples)))
+    for lo in range(0, r, block):
+        _fft_correlate(np.moveaxis(series[:, lo:lo + block], 2, -1), out[lo:lo + block],
+                       comps, pairs)
     return out, drift
 
 
@@ -390,6 +423,8 @@ def velocity_correlator(cfg: SimConfig, pairs, max_lag: float,
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
+    if not max_lag >= 0.0:
+        raise ValueError(f"max_lag must be non-negative, got {max_lag}")
     pairs = _normalize_pairs(pairs)
     dt_sample = cfg.dt * stride
     production = cfg.steps * cfg.dt
@@ -399,8 +434,8 @@ def velocity_correlator(cfg: SimConfig, pairs, max_lag: float,
     n_lags = int(round(max_lag / dt_sample)) + 1
     lags = np.arange(n_lags) * dt_sample
 
-    chunk_size = max(1, min(cfg.n_trajectories,
-                            2_000_000 // max(1, n_samples * cfg.n * 3)))
+    stored = n_samples * cfg.n * len(_pair_components(pairs))
+    chunk_size = max(1, min(cfg.n_trajectories, _CHUNK_FLOATS // max(1, stored)))
     chunks = [list(range(lo, min(lo + chunk_size, cfg.n_trajectories)))
               for lo in range(0, cfg.n_trajectories, chunk_size)]
     results = [_chunk_correlators(cfg, c, stride, n_samples, n_lags, pairs)
@@ -436,6 +471,8 @@ def component_pairs() -> list[tuple]:
 
 def diffusion_tensor(corr: CorrelatorEstimate, t_max: float) -> DiffusionTensor:
     """Integrate a 9-pair correlator estimate into the 3x3 tensor."""
+    if not t_max >= 0.0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     if t_max > corr.lags[-1] + 1e-12:
         raise ValueError("t_max beyond the available lag grid")
     sel = corr.lags <= t_max + 1e-12

@@ -1,7 +1,7 @@
 """Acceptance suite: every exit criterion at its stated tolerance, one
 pass/fail line printed per criterion.
 
-Criteria 6 and 7 run the full-scale simulations (about four minutes
+Criteria 6 and 7 run the full-scale simulations (about a minute
 combined); criterion 10 invokes the CLI twice at the reduced scale to
 check byte determinism of the reports.
 """

@@ -227,6 +227,19 @@ def test_zero_max_lag_and_t_max_are_honoured(tmp_path, capsys):
     assert json.loads(out)["t_max"] == 0.0
 
 
+@pytest.mark.parametrize("command, flags, name", [
+    ("simulate", ["--pairs", "x,x", "--max-lag", "-0.05"], "max_lag"),
+    ("simulate", ["--pairs", "x,x", "--max-lag", "-0.2"], "max_lag"),
+    ("correlate", ["--max-lag", "0.5", "--t-max", "-1"], "t_max"),
+])
+def test_negative_max_lag_and_t_max_are_rejected(tmp_path, capsys, command, flags, name):
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, out, err = run_cli([command, "--config", str(config), *flags], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"{name} must be non-negative" in err
+
+
 def test_deterministic_outputs(tmp_path):
     # identical args and seed give byte-identical files
     config = tmp_path / "sim.txt"

@@ -339,19 +339,138 @@ def test_correlator_rejects_long_lag():
         velocity_correlator(cfg, [("x", "x")], max_lag=10.0)
 
 
-def test_per_traj_independent_of_chunking():
+def test_negative_lag_and_cutoff_rejected():
+    cfg = free_config(steps=100, n_trajectories=3)
+    with pytest.raises(ValueError, match="max_lag must be non-negative"):
+        velocity_correlator(cfg, [("x", "x")], max_lag=-0.05)
+    corr = velocity_correlator(cfg, component_pairs(), max_lag=0.5)
+    for t_max in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="t_max must be non-negative"):
+            diffusion_tensor(corr, t_max)
+
+
+def test_per_traj_independent_of_chunking(monkeypatch):
     # one trajectory's estimate depends only on its own index, never on
-    # which other trajectories share its chunk
+    # which other trajectories share its chunk or its FFT block; at 1 << 16
+    # stored floats the N=16 chunks transform in blocks of two rows, so the
+    # split [0, 1], [2, 3] lands on a block boundary and [1, 2] straddles one
     pairs = _normalize_pairs(component_pairs() + [(0, "x", 0, "y")])
     configs = [SimConfig(n=16, field=field, dt=0.004, steps=60, box_half=2.55,
                          wca_epsilon=1.0, seed=3, n_trajectories=4, equilibration=40)
                for field in md_fields().values()]
     configs.append(free_config(steps=60, n_trajectories=4))
-    for cfg in configs:
-        whole, _ = _chunk_correlators(cfg, [0, 1, 2, 3], 3, 21, 8, pairs)
-        split = [_chunk_correlators(cfg, part, 3, 21, 8, pairs)[0]
-                 for part in ([0], [1, 2], [3])]
-        assert np.array_equal(whole, np.concatenate(split))
+    _, blocks = _record_blocks(monkeypatch)
+    for chunk_floats in (md._CHUNK_FLOATS, 1 << 16):
+        monkeypatch.setattr(md, "_CHUNK_FLOATS", chunk_floats)
+        for cfg in configs:
+            blocks.clear()
+            whole, _ = _chunk_correlators(cfg, [0, 1, 2, 3], 3, 21, 8, pairs)
+            assert blocks == ([2, 2] if cfg.n == 16 and chunk_floats == 1 << 16 else [4])
+            for parts in (([0], [1, 2], [3]), ([0, 1], [2, 3])):
+                split = [_chunk_correlators(cfg, part, 3, 21, 8, pairs)[0] for part in parts]
+                assert whole.tobytes() == np.concatenate(split).tobytes()
+
+
+def pairwise_fft_correlate(a, b, n_lags):
+    # the correlator that transformed both operands of every pair, kept
+    # with the two functions below as the oracle of the blocked one
+    s = a.shape[-1]
+    size = 1
+    while size < 2 * s:
+        size *= 2
+    fa = np.fft.rfft(a, size, axis=-1)
+    fb = np.fft.rfft(b, size, axis=-1)
+    cc = np.fft.irfft(fa.conj() * fb, size, axis=-1)[..., :n_lags]
+    return cc / (s - np.arange(n_lags))
+
+
+def three_component_chunk(cfg, indices, stride, n_samples, n_lags, pairs):
+    state = equilibrate(init_state(cfg, indices), cfg)
+    r = len(indices)
+    vels = np.empty((r, n_samples, cfg.n, 3))
+    e0 = energy(state, cfg)
+    for s in range(n_samples):
+        vels[:, s] = state.vel
+        if s < n_samples - 1:
+            for _ in range(stride):
+                state = step(state, cfg)
+    drift = float(np.max(np.abs(energy(state, cfg) - e0)
+                         / np.maximum(np.abs(e0), 1e-300)))
+    out = np.empty((r, len(pairs), n_lags))
+    for col, (i, a, j, b) in enumerate(pairs):
+        ai = md.COMPONENTS.index(a)
+        bi = md.COMPONENTS.index(b)
+        if i is None and j is None:
+            series_a = np.moveaxis(vels[:, :, :, ai], 1, -1)
+            series_b = np.moveaxis(vels[:, :, :, bi], 1, -1)
+            out[:, col] = pairwise_fft_correlate(series_a, series_b, n_lags).mean(axis=1)
+        else:
+            out[:, col] = pairwise_fft_correlate(vels[:, :, i, ai], vels[:, :, j, bi], n_lags)
+    return out, drift
+
+
+def three_component_correlator(cfg, pairs, max_lag, stride):
+    # chunks of at most 2e6 stored floats, all three components stored
+    pairs = _normalize_pairs(pairs)
+    n_samples = cfg.steps // stride + 1
+    n_lags = int(round(max_lag / (cfg.dt * stride))) + 1
+    size = max(1, min(cfg.n_trajectories, 2_000_000 // (n_samples * cfg.n * 3)))
+    results = [three_component_chunk(cfg, list(range(lo, min(lo + size, cfg.n_trajectories))),
+                                     stride, n_samples, n_lags, pairs)
+               for lo in range(0, cfg.n_trajectories, size)]
+    return np.concatenate([r[0] for r in results]), max(r[1] for r in results)
+
+
+def _record_blocks(monkeypatch):
+    # the rows of every chunk and every FFT block velocity_correlator runs
+    chunks, blocks = [], []
+    chunk, fft = md._chunk_correlators, md._fft_correlate
+
+    def record_chunk(cfg, indices, *args):
+        chunks.append(len(indices))
+        return chunk(cfg, indices, *args)
+
+    def record_fft(series, out, *args):
+        blocks.append(out.shape[0])
+        return fft(series, out, *args)
+
+    monkeypatch.setattr(md, "_chunk_correlators", record_chunk)
+    monkeypatch.setattr(md, "_fft_correlate", record_fft)
+    return chunks, blocks
+
+
+WCA_PAIRS = component_pairs() + [(0, "x", 3, "y"), (2, "z", 2, "z"), (5, "y", 1, "x")]
+WCA_SHORT = dict(n=16, dt=0.004, steps=60, box_half=2.55, wca_epsilon=1.0, seed=5,
+                 n_trajectories=5, equilibration=40)
+
+
+@pytest.mark.parametrize("cfg, pairs, chunk_floats, chunks, blocks", [
+    # free N=1: pairs reading one component, two, and two that skip y
+    (free_config(steps=400, seed=11, n_trajectories=50), [("y", "y")], None, [50], [50]),
+    (free_config(steps=400, seed=11, n_trajectories=50), [("x", "x"), ("x", "y")], None,
+     [50], [50]),
+    (free_config(steps=400, seed=11, n_trajectories=50), [("z", "x")], None, [50], [50]),
+    (SimConfig(field=md_fields()["constant-z"], **WCA_SHORT), WCA_PAIRS, None, [5], [5]),
+    (SimConfig(field=md_fields()["axial-md"], **WCA_SHORT), WCA_PAIRS, None, [5], [5]),
+    # 21 samples pad to 64: 6144 floats give chunks of 146 rows and blocks
+    # of 3, 2016 give N=16 chunks of 2 rows and blocks of 1
+    (free_config(steps=60, seed=12, n_trajectories=300), [("x", "x"), ("x", "y")], 6144,
+     [146, 146, 8], [3] * 48 + [2] + [3] * 48 + [2] + [3, 3, 2]),
+    (SimConfig(field=md_fields()["axial-md"], **WCA_SHORT), WCA_PAIRS, 2016,
+     [2, 2, 1], [1] * 5),
+], ids=["free-y", "free-xy", "free-xz", "wca-constant-z", "wca-axial-md",
+        "free-forced", "wca-forced"])
+def test_correlator_bitwise_equals_three_component_form(monkeypatch, cfg, pairs,
+                                                        chunk_floats, chunks, blocks):
+    max_lag, stride = 10 * cfg.dt * 3, 3
+    per_traj, drift = three_component_correlator(cfg, pairs, max_lag, stride)
+    if chunk_floats is not None:
+        monkeypatch.setattr(md, "_CHUNK_FLOATS", chunk_floats)
+    seen_chunks, seen_blocks = _record_blocks(monkeypatch)
+    corr = velocity_correlator(cfg, pairs, max_lag, stride)
+    assert (seen_chunks, seen_blocks) == (chunks, blocks)
+    assert corr.per_traj.tobytes() == per_traj.tobytes()
+    assert corr.energy_drift == drift
 
 
 def test_estimator_stationarity_between_halves():
