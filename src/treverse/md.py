@@ -426,6 +426,13 @@ def velocity_correlator(cfg: SimConfig, pairs, max_lag: float,
     if not max_lag >= 0.0:
         raise ValueError(f"max_lag must be non-negative, got {max_lag}")
     pairs = _normalize_pairs(pairs)
+    for pair in pairs:
+        i, a, j, b = pair
+        if a not in tuple(COMPONENTS) or b not in tuple(COMPONENTS):
+            raise ValueError(f"pair {pair_label(pair)}: components must be x, y or z")
+        if any(k is not None and not 0 <= k < cfg.n for k in (i, j)):
+            raise ValueError(f"pair {pair_label(pair)}: particle index outside "
+                             f"0..{cfg.n - 1}")
     dt_sample = cfg.dt * stride
     production = cfg.steps * cfg.dt
     if max_lag >= production:

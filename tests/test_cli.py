@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from treverse import md
 from treverse.cli import main, parse_op
 
 TWO_SPIN_SYSTEM = """
@@ -238,6 +239,25 @@ def test_negative_max_lag_and_t_max_are_rejected(tmp_path, capsys, command, flag
     code, out, err = run_cli([command, "--config", str(config), *flags], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and f"{name} must be non-negative" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0,x,5,y", "particle index outside 0..0"),
+    ("x,w", "components must be x, y or z"),
+    ("-1,x,0,y", "particle index outside 0..0"),
+])
+def test_simulate_rejects_unusable_pairs_before_md(tmp_path, capsys, monkeypatch,
+                                                    spec, message):
+    def no_md(*args):
+        raise AssertionError("MD ran for an unusable pair")
+
+    monkeypatch.setattr(md, "init_state", no_md)
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, out, err = run_cli(["simulate", "--config", str(config), f"--pairs={spec}"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_deterministic_outputs(tmp_path):

@@ -17,14 +17,15 @@ from treverse.kubo import (
 )
 from treverse.kubo import _correlator_in_basis
 from treverse.spin import catalog_spin_ops, pauli
-from treverse.verify import _expm
+from treverse.verify import _expm, _kubo_quadrature
 
 
-def quadrature_oracle(system, beta, phi, psi, t, npts=128):
+def quadrature_oracle(system, beta, phi, psi, t, npts=128, expm=expm):
     """Independent evaluation of the lambda integral by Gauss-Legendre.
 
     Uses matrix exponentials throughout; the spectrum shift keeps every
-    exponential decaying so the quadrature stays well conditioned.
+    exponential decaying so the quadrature stays well conditioned.  With
+    expm=single_expm it is the per-node loop that _kubo_quadrature replaced.
     """
     h = system.hamiltonian()
     shift = np.linalg.norm(h, 2)
@@ -99,9 +100,11 @@ def test_quadrature_oracle_agreement():
 
 
 def test_expm_matches_scipy():
-    # the Taylor exponential behind the verify-suite quadrature oracle
+    # the Taylor exponential behind the verify-suite quadrature oracle, one
+    # matrix at a time and as one stack
     rng = np.random.default_rng(14)
     for dim in (2, 4, 8):
+        stack = []
         for _ in range(10):
             h = random_observable(rng, dim).matrix
             beta = float(rng.uniform(0.2, 2.0))
@@ -109,6 +112,54 @@ def test_expm_matches_scipy():
             for a in (-beta * h, 1j * h * t):
                 ref = expm(a)
                 assert np.linalg.norm(_expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
+                stack.append(a)
+        for a, got in zip(stack, _expm(np.array(stack))):
+            ref = expm(a)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def single_expm(a):
+    """The one-matrix-at-a-time exponential that the stacked _expm replaced."""
+    a = np.asarray(a, dtype=complex)
+    norm = np.linalg.norm(a, np.inf)
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30))))) + 1
+    x = a / (2 ** squarings)
+    out = np.eye(a.shape[0], dtype=complex)
+    term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, 24):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_stacked_expm_bitwise_equals_single(dim):
+    # inf-norms from ~1e-6 to ~1e3 need 1 to 8-12 squarings, so the stack mixes counts
+    rng = np.random.default_rng(dim)
+    raw = rng.normal(size=(60, dim, dim)) + 1j * rng.normal(size=(60, dim, dim))
+    stack = raw * np.logspace(-6, 2, 60)[:, None, None]
+    counts = {max(0, int(np.ceil(np.log2(np.linalg.norm(a, np.inf))))) + 1 for a in stack}
+    assert len(counts) >= 8
+    got = _expm(stack)
+    assert got.shape == stack.shape
+    for a, g in zip(stack, got):
+        assert g.tobytes() == single_expm(a).tobytes()
+        assert _expm(a).tobytes() == g.tobytes()
+    assert _expm(stack.reshape(3, 20, dim, dim)).tobytes() == got.tobytes()
+
+
+def test_quadrature_bitwise_equals_per_node_loop():
+    rng = np.random.default_rng(15)
+    for _ in range(12):
+        system = random_system(rng)
+        phi, psi = random_observable(rng, system.dim), random_observable(rng, system.dim)
+        beta = float(rng.uniform(0.2, 2.0))
+        t = float(rng.uniform(-2.0, 2.0))
+        got = _kubo_quadrature(system, beta, phi.matrix, psi.matrix, t)
+        want = quadrature_oracle(system, beta, phi.matrix, psi.matrix, t, expm=single_expm)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_reality_on_random_pairs():

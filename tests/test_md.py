@@ -349,6 +349,22 @@ def test_negative_lag_and_cutoff_rejected():
             diffusion_tensor(corr, t_max)
 
 
+@pytest.mark.parametrize("pair, message", [
+    (("x", "w"), "components must be x, y or z"),
+    (("xy", "x"), "components must be x, y or z"),
+    ((0, "x", 2, "y"), "particle index outside 0..1"),
+    ((-1, "x", 0, "y"), "particle index outside 0..1"),
+])
+def test_correlator_rejects_bad_pairs_before_stepping(monkeypatch, pair, message):
+    def no_md(*args):
+        raise AssertionError("MD ran for an unusable pair")
+
+    monkeypatch.setattr(md, "init_state", no_md)
+    cfg = free_config(n=2, steps=100, n_trajectories=3)
+    with pytest.raises(ValueError, match=message):
+        velocity_correlator(cfg, [("x", "x"), pair], max_lag=0.5)
+
+
 def test_per_traj_independent_of_chunking(monkeypatch):
     # one trajectory's estimate depends only on its own index, never on
     # which other trajectories share its chunk or its FFT block; at 1 << 16

@@ -179,3 +179,76 @@ def test_per_particle_block_detection():
 
 def test_antisymplectic_residual_value():
     assert antisymplectic_residual(np.eye(6)) == 2.0
+
+
+def per_sample_residuals(op, samples, seed):
+    """Each sample and its residual, drawn and computed one at a time."""
+    a = op.matrix()
+    block = op.per_particle_block()
+    ref = -np.linalg.det(block) * block if block is not None else -np.eye(3)
+
+    def ang(x, p):
+        return np.cross(x.reshape(-1, 3), p.reshape(-1, 3)).sum(axis=0)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x, p = rng.uniform(-1.0, 1.0, op.dim), rng.uniform(-1.0, 1.0, op.dim)
+        yield x, p, float(np.max(np.abs(ang(a @ x, -(a @ p)) - ref @ ang(x, p))))
+
+
+def per_sample_scan(op, samples, seed, tol):
+    """The one-sample-at-a-time scan that reverses_angular_momentum replaced."""
+    worst = 0.0
+    for x, p, resid in per_sample_residuals(op, samples, seed):
+        worst = max(worst, resid)
+        if resid > tol:
+            return False, (x, p), resid
+    return True, None, worst
+
+
+def assert_same_verdict(verdict, want):
+    always, counter, resid = want
+    assert verdict.always_reversed == always
+    assert np.float64(verdict.max_residual).tobytes() == np.float64(resid).tobytes()
+    if counter is None:
+        assert verdict.counterexample is None
+    else:
+        assert verdict.counterexample.coords.tobytes() == counter[0].tobytes()
+        assert verdict.counterexample.momenta.tobytes() == counter[1].tobytes()
+
+
+def test_reversal_scan_bitwise_equals_per_sample_loop():
+    rng = np.random.default_rng(8)
+    perm = np.arange(6)
+    perm[0], perm[5] = 5, 0
+    ops = [TimeReversalOp(np.kron(np.eye(n), random_orthogonal(rng, 3))) for n in (1, 2, 5)]
+    ops += [random_signed_permutation(rng, 3 * n) for n in (1, 2, 4)]
+    ops += [TimeReversalOp.from_signed_permutation(perm, np.ones(6, dtype=int))]
+    for op in ops:
+        for tol in (1e-12, 1e-10):
+            assert_same_verdict(reverses_angular_momentum(op, samples=300, seed=9, tol=tol),
+                                per_sample_scan(op, 300, 9, tol))
+
+
+def test_reversal_returns_first_failure_not_worst():
+    perm = np.arange(6)
+    perm[0], perm[5] = 5, 0
+    cross = TimeReversalOp.from_signed_permutation(perm, np.ones(6, dtype=int))
+    resid = np.array([r for _, _, r in per_sample_residuals(cross, 40, 10)])
+    # sample 0 sits at the tolerance, so the first failure comes later and
+    # is not the worst sample
+    tol = float(resid[0])
+    first = int(np.argmax(resid > tol))
+    assert first > 0 and resid[first] < resid.max()
+    want = per_sample_scan(cross, 40, 10, tol)
+    assert want[2] == resid[first]
+    assert_same_verdict(reverses_angular_momentum(cross, samples=40, seed=10, tol=tol), want)
+
+
+def test_reversal_sample_count_edge_cases():
+    op = TimeReversalOp(np.eye(6))
+    verdict = reverses_angular_momentum(op, samples=0, seed=1)
+    assert (verdict.always_reversed, verdict.counterexample, verdict.max_residual) == \
+        (True, None, 0.0)
+    with pytest.raises(ValueError, match="samples must be non-negative"):
+        reverses_angular_momentum(op, samples=-1, seed=1)
