@@ -7,7 +7,6 @@ from .phasespace import (
     TimeReversalOp,
     angular_momentum,
     apply,
-    is_antisymplectic,
     is_involution,
     is_orthogonal,
     reverses_angular_momentum,
@@ -41,11 +40,9 @@ from .fields import (
 from .spin import (
     catalog_spin_ops,
     check_su2_preservation,
-    conjugation_identity_check,
     pauli,
     so3_to_su2,
     spin_lift,
-    su2_to_so3,
 )
 from .kubo import (
     Observable,

@@ -9,6 +9,7 @@ d the level gap, evaluated through the overflow-safe equivalent form
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +69,11 @@ class SpinSystem:
         return 2 ** self.n
 
     def hamiltonian(self) -> np.ndarray:
+        """H, assembled on the first call; every call returns that read-only array."""
+        return self._hamiltonian
+
+    @cached_property
+    def _hamiltonian(self) -> np.ndarray:
         sig = pauli_vector()
         h = np.zeros((self.dim, self.dim), dtype=complex)
         for j in range(self.n):
@@ -81,6 +87,7 @@ class SpinSystem:
                                  @ site_operator(sig[axis], k, self.n))
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("assembled Hamiltonian is not Hermitian")
+        h.flags.writeable = False
         return h
 
 

@@ -13,6 +13,17 @@ MDState and reused by the next opening kick.  The force kernel visits
 each i<j pair once and evaluates the potential only inside the cutoff; its
 result is bitwise equal to the dense all-pairs sum.
 
+The closing kick visits only the pairs of a Verlet neighbour list, also
+carried in MDState: the pairs within cutoff + skin at its build.  A pair
+outside that radius cannot reach the cutoff before one of its particles
+has moved skin/2, so the whole batch's list is rebuilt as soon as any
+particle's unwrapped position has moved more than skin/2 since the build.
+The list keeps the dense (trajectory, pair) row order and computes each
+listed displacement and r^2 with the dense kernel's elementwise
+operations, so filtering it by the cutoff yields exactly the rows, in the
+same order, that the dense kernel selects, and the forces are bitwise
+equal to the list-free ones.
+
 The rotation writes out its cross products and |t|^2 per component, with
 the operations np.cross and np.sum perform in the same order, so it is
 bitwise equal to the form that calls them.  A constant field is not
@@ -46,6 +57,9 @@ from .phasespace import PhasePoint, TimeReversalOp
 
 WCA_CUTOFF = 2.0 ** (1.0 / 6.0)
 COMPONENTS = "xyz"
+# Verlet-list skin in units of wca_sigma: at the criterion-7 density about
+# 7% of the pairs are listed, and a list lasts about 20 steps
+_SKIN = 0.3
 
 
 class NotApplicable(ValueError):
@@ -96,22 +110,42 @@ class SimConfig:
         return self.wca_epsilon is not None
 
 
+@dataclass(frozen=True)
+class NeighbourList:
+    """Candidate pairs of a batch and the unwrapped positions they were built at.
+
+    a and b are the rows r*N + i and r*N + j (i < j) of pos.reshape(-1, 3)
+    of the pairs within cutoff + skin at ref, in dense (trajectory, pair)
+    order.  A list is never modified, so states may share it.
+    """
+
+    ref: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
 @dataclass
 class MDState:
     """Positions (unwrapped) and velocities, shape (R, N, 3).
 
     force, when set, is forces(pos, cfg) for the interacting config being
-    stepped; step reuses it for its opening kick.  A state whose positions
-    were changed by anything but step must carry force None.
+    stepped; step reuses it for its opening kick.  neighbours, when set, is
+    the Verlet list step last used: it holds every pair that can be inside
+    the cutoff until some particle has moved skin/2 from its build, and
+    step rebuilds it past that.  Forces from the list are bitwise equal to
+    forces(pos, cfg), since it keeps the dense pair order.  A state whose
+    positions were changed by anything but step must carry force and
+    neighbours None.
     """
 
     pos: np.ndarray
     vel: np.ndarray
     force: np.ndarray | None = None
+    neighbours: NeighbourList | None = None
 
     def copy(self) -> "MDState":
         force = None if self.force is None else self.force.copy()
-        return MDState(self.pos.copy(), self.vel.copy(), force)
+        return MDState(self.pos.copy(), self.vel.copy(), force, self.neighbours)
 
 
 def _wrap(pos: np.ndarray, box: float) -> np.ndarray:
@@ -124,40 +158,71 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _pair_r2(pos: np.ndarray, cfg: SimConfig):
-    """Minimum-image displacements x_i - x_j and squared distances, (R, P)."""
-    i, j = _pair_index(pos.shape[1])
-    d = pos[:, i, :] - pos[:, j, :]
-    d -= cfg.box * np.rint(d / cfg.box)
+def _image_r2(d: np.ndarray, box: float):
+    """Minimum images of the displacements d (modified in place) and their r^2."""
+    d -= box * np.rint(d / box)
     return d, np.sum(d * d, axis=-1)
 
 
-def _close_pairs(pos: np.ndarray, cfg: SimConfig):
-    """The pairs inside the WCA cutoff: trajectory, i < j, x_i - x_j and r^2."""
+def _pair_r2(pos: np.ndarray, cfg: SimConfig):
+    """Minimum-image displacements x_i - x_j and squared distances, (R, P)."""
+    i, j = _pair_index(pos.shape[1])
+    return _image_r2(pos[:, i, :] - pos[:, j, :], cfg.box)
+
+
+def _close_pairs(pos: np.ndarray, cfg: SimConfig, radius: float = WCA_CUTOFF):
+    """The pairs closer than radius * sigma: trajectory, i < j, x_i - x_j and r^2."""
     d, r2 = _pair_r2(pos, cfg)
-    traj, pair = np.nonzero(r2 < (WCA_CUTOFF * cfg.wca_sigma) ** 2)
+    traj, pair = np.nonzero(r2 < (radius * cfg.wca_sigma) ** 2)
     i, j = _pair_index(pos.shape[1])
     return traj, i[pair], j[pair], d[traj, pair], r2[traj, pair]
 
 
-def forces(pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
+def _neighbours(pos: np.ndarray, cfg: SimConfig,
+                previous: NeighbourList | None) -> NeighbourList:
+    """previous while no particle has moved skin/2 since its build, else a new list."""
+    if previous is not None:
+        moved = pos - previous.ref
+        if np.max(np.sum(moved * moved, axis=-1)) <= (0.5 * _SKIN * cfg.wca_sigma) ** 2:
+            return previous
+    traj, i, j, _, _ = _close_pairs(pos, cfg, WCA_CUTOFF + _SKIN)
+    n = pos.shape[1]
+    return NeighbourList(pos, traj * n + i, traj * n + j)
+
+
+def _listed_close_pairs(pos: np.ndarray, cfg: SimConfig, neighbours: NeighbourList):
+    """The listed pairs inside the cutoff: rows r*N + i and r*N + j, x_i - x_j and r^2."""
+    flat = pos.reshape(-1, 3)
+    d, r2 = _image_r2(flat[neighbours.a] - flat[neighbours.b], cfg.box)
+    (close,) = np.nonzero(r2 < (WCA_CUTOFF * cfg.wca_sigma) ** 2)
+    return neighbours.a[close], neighbours.b[close], d[close], r2[close]
+
+
+def forces(pos: np.ndarray, cfg: SimConfig,
+           neighbours: NeighbourList | None = None) -> np.ndarray:
     """WCA pair forces; zero array when the potential is off.
 
     Pairs outside the cutoff contribute signed zeros to the dense sum, which
     leave it unchanged, so only pairs inside are evaluated.  Particle i gets
     the terms of its partners in ascending order, as the dense sum does:
     the -f terms of partners j < i come first in pair order, then the +f
-    terms of partners j > i, and bincount adds them in that order.
+    terms of partners j > i, and bincount adds them in that order.  With a
+    neighbour list valid at pos, only the listed pairs are visited; they
+    yield the same close pairs in the same order.
     """
     if not cfg.interacting or cfg.n == 1:
         return np.zeros_like(pos)
-    traj, i, j, d, r2 = _close_pairs(pos, cfg)
+    if neighbours is None:
+        traj, i, j, d, r2 = _close_pairs(pos, cfg)
+        n = pos.shape[1]
+        a, b = traj * n + i, traj * n + j
+    else:
+        a, b, d, r2 = _listed_close_pairs(pos, cfg, neighbours)
     inv2 = cfg.wca_sigma ** 2 / r2
     inv6 = inv2 ** 3
     coef = 24.0 * cfg.wca_epsilon * (2.0 * inv6 * inv6 - inv6) * inv2 / cfg.wca_sigma ** 2
     f = d * coef[:, None]
-    n = pos.shape[1]
-    rows = np.concatenate([traj * n + j, traj * n + i])
+    rows = np.concatenate([b, a])
     bins = (3 * rows[:, None] + np.arange(3)).ravel()
     total = np.bincount(bins, weights=np.concatenate([-f, f]).ravel(), minlength=pos.size)
     return total.reshape(pos.shape)
@@ -221,7 +286,7 @@ def _half_rotate(vel: np.ndarray, pos: np.ndarray, cfg: SimConfig) -> np.ndarray
 def step(state: MDState, cfg: SimConfig) -> MDState:
     """One palindromic step: kick(dt/2) rotate(dt/2) drift(dt) rotate(dt/2) kick(dt/2)."""
     dt = cfg.dt
-    pos, vel, force = state.pos, state.vel, None
+    pos, vel, force, neighbours = state.pos, state.vel, None, None
     if cfg.interacting:
         force = forces(pos, cfg) if state.force is None else state.force
         vel = vel + (0.5 * dt / cfg.mass) * force
@@ -229,9 +294,11 @@ def step(state: MDState, cfg: SimConfig) -> MDState:
     pos = pos + dt * vel
     vel = _half_rotate(vel, pos, cfg)
     if cfg.interacting:
-        force = forces(pos, cfg)
+        if cfg.n > 1:
+            neighbours = _neighbours(pos, cfg, state.neighbours)
+        force = forces(pos, cfg, neighbours)
         vel = vel + (0.5 * dt / cfg.mass) * force
-    return MDState(pos, vel, force)
+    return MDState(pos, vel, force, neighbours)
 
 
 def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
@@ -284,7 +351,7 @@ def equilibrate(state: MDState, cfg: SimConfig) -> MDState:
         if (k + 1) % cfg.thermostat_interval == 0:
             kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
             factor = np.sqrt(target / np.maximum(kinetic, 1e-300))
-            state = MDState(state.pos, state.vel * factor[:, None, None], state.force)
+            state = replace(state, vel=state.vel * factor[:, None, None])
     return state
 
 

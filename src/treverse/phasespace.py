@@ -147,11 +147,6 @@ def antisymplectic_residual(P: np.ndarray) -> float:
     return float(np.max(np.abs(P.T @ omega @ P + omega)))
 
 
-def is_antisymplectic(op: TimeReversalOp, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the induced map diag(A, -A) satisfies M^T omega M = -omega."""
-    return antisymplectic_residual(op.induced()) <= tol
-
-
 def _apply_rows(op: TimeReversalOp, coords: np.ndarray,
                 momenta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A X, -A P) for every row of (..., M) coordinate and momentum arrays.

@@ -1,5 +1,5 @@
-"""Pauli algebra: the spin-space time-reversal catalog, the SU(2)/SO(3)
-bridge, and the constructive lift of spatial operations to spin space.
+"""Pauli algebra: the spin-space time-reversal catalog, the SO(3)-to-SU(2)
+pullback, and the constructive lift of spatial operations to spin space.
 
 An antilinear candidate U K acts on spin operators as X -> U conj(X) U^-1.
 The lift of a compatible spatial block M sends M to P = det(M) M, pulls P
@@ -16,9 +16,7 @@ import numpy as np
 from .fields import FieldSpec, _sample_points, _validated_block, eval_field
 
 UNITARY_TOL = 1e-14
-SU2_DET_TOL = 1e-12
 SO3_TOL = 1e-10
-CONJUGATION_TOL = 1e-13
 
 THETA = 1.0 / np.sqrt(2.0)
 
@@ -130,20 +128,6 @@ def catalog_spin_ops() -> list[SpinCatalogEntry]:
     return out
 
 
-def su2_to_so3(U) -> np.ndarray:
-    """Rotation L with U^dag s_j U = L[j, k] s_k, for special unitary U."""
-    U = _require_unitary(U)
-    if abs(np.linalg.det(U) - 1.0) > SU2_DET_TOL:
-        raise ValueError("matrix must be special unitary (det = 1)")
-    sig = pauli_vector()
-    out = np.empty((3, 3))
-    for j in range(3):
-        rotated = U.conj().T @ sig[j] @ U
-        for k in range(3):
-            out[j, k] = 0.5 * np.trace(sig[k] @ rotated).real
-    return out
-
-
 def _quaternion_from_rotation(P: np.ndarray) -> tuple[float, np.ndarray]:
     """(w, v) with P the rotation by angle a about axis v/|v|, w = cos(a/2)."""
     t = np.trace(P)
@@ -173,7 +157,7 @@ def so3_to_su2(P) -> np.ndarray:
             or np.linalg.det(P) < 0.0:
         raise ValueError("matrix must be special orthogonal")
     w, v = _quaternion_from_rotation(P)
-    # U = w I - i v.sigma maps back to P under su2_to_so3
+    # U = w I - i v.sigma satisfies U^dag s_j U = P[j, k] s_k
     for component in (w, -v[2], -v[1], -v[0]):
         if abs(component) > 1e-12:
             if component < 0:
@@ -217,12 +201,3 @@ def spin_coupling_residual(block, U_s, spec: FieldSpec, samples: int = 100,
         lhs = U_s @ s_there.conj() @ U_s.conj().T
         worst = max(worst, float(np.max(np.abs(lhs - s_here))))
     return worst
-
-
-def conjugation_identity_check(U, tol: float = CONJUGATION_TOL) -> bool:
-    """sigma_y U sigma_y = conj(U) for special unitary U."""
-    U = _require_unitary(U)
-    if abs(np.linalg.det(U) - 1.0) > SU2_DET_TOL:
-        raise ValueError("matrix must be special unitary (det = 1)")
-    sy = pauli("y")
-    return bool(np.max(np.abs(sy @ U @ sy - U.conj())) <= tol)

@@ -15,9 +15,10 @@ from treverse.kubo import (
     tr_commutes,
     verify_kubo_symmetry,
 )
+from treverse import kubo
 from treverse.kubo import _correlator_in_basis
 from treverse.spin import catalog_spin_ops, pauli
-from treverse.verify import _expm, _kubo_quadrature
+from treverse.verify import _expm, _kubo_quadrature, check_kubo
 
 
 def quadrature_oracle(system, beta, phi, psi, t, npts=128, expm=expm):
@@ -194,6 +195,21 @@ def test_thermal_state_weights():
     assert np.all(state.weights >= 0)
     with pytest.raises(ValueError):
         ThermalState.of(two_spin_reference(), 0.0)
+
+
+def test_hamiltonian_built_once_per_system(monkeypatch):
+    system = two_spin_reference()
+    h = system.hamiltonian()
+    assert system.hamiltonian() is h
+    assert not h.flags.writeable
+    # criterion 5 reads each random system's H for the correlator and again
+    # for its quadrature, and the documented system's for the commutation
+    # test and the thermal state: one assembly each
+    builds = []
+    real = kubo.pauli_vector
+    monkeypatch.setattr(kubo, "pauli_vector", lambda: builds.append(1) or real())
+    check_kubo(42, n_random=5)
+    assert len(builds) == 5 + 1
 
 
 def test_observable_must_be_hermitian():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from treverse.md import (
 from treverse import md
 from treverse.md import WCA_CUTOFF, _apply_block, _chunk_correlators, _normalize_pairs
 from treverse.phasespace import PhasePoint, TimeReversalOp
-from treverse.verify import md_fields
+from treverse.verify import diffusion_run_config, md_fields
 
 CONST_Z = FieldSpec.constant([0.0, 0.0, 1.0], label="constant-z")
 ZERO = FieldSpec.constant([0.0, 0.0, 0.0], label="zero")
@@ -203,24 +205,92 @@ def test_force_cache_matches_fresh_evaluation(monkeypatch):
             state = md.step(state, cfg)
         return state
 
+    # the run ends on a thermostat rescale, which keeps force and list
+    assert cfg.equilibration % cfg.thermostat_interval == 0
+    assert equilibrate(init_state(cfg), cfg).neighbours is not None
     cached = run()
     assert cached.force.tobytes() == forces(cached.pos, cfg).tobytes()
     real_step = md.step
+    # a state stripped of both the force and the neighbour list
     monkeypatch.setattr(md, "step", lambda state, c: real_step(MDState(state.pos, state.vel), c))
     stripped = run()
     monkeypatch.undo()
     for name in ("pos", "vel", "force"):
         assert getattr(cached, name).tobytes() == getattr(stripped, name).tobytes()
 
-    # the conjugacy map moves positions, so the cached force must go with it
+    # the conjugacy map moves positions, so the cached force and list must go
+    # with it, as they must from every state not made by step
     reflected = _apply_block(cached, KAWASAKI.matrix())
-    assert reflected.force is None
+    assert reflected.force is None and reflected.neighbours is None
+    assert init_state(cfg).neighbours is None
+    assert state_from_phasepoint(phasepoint_from_state(cached, cfg), cfg).neighbours is None
     after = step(reflected, cfg)
     fresh = step(MDState(reflected.pos.copy(), reflected.vel.copy()), cfg)
     assert after.vel.tobytes() == fresh.vel.tobytes()
     copied = cached.copy()
     assert copied.force is not cached.force
     assert copied.force.tobytes() == cached.force.tobytes()
+    assert copied.neighbours is cached.neighbours
+
+
+def _rebuilds(state, cfg, steps):
+    """The state after steps, and the number of list rebuilds after the first build."""
+    rebuilds = 0
+    for _ in range(steps):
+        previous = state.neighbours
+        state = step(state, cfg)
+        rebuilds += previous is not None and state.neighbours is not previous
+    return state, rebuilds
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(diffusion_run_config(md_fields()["constant-z"], 42, "quick"), equilibration=0),
+    SimConfig(n=16, field=CONST_Z, dt=0.004, steps=1, wca_epsilon=1.0, box_half=1.71,
+              seed=42),
+], ids=["criterion-7-quick", "criterion-8-dense"])
+def test_neighbour_list_step_bitwise_equals_list_free(monkeypatch, cfg):
+    steps = 3000
+    listed, rebuilds = _rebuilds(init_state(cfg), cfg, steps)
+    assert rebuilds > 1
+    dense = md.forces
+    monkeypatch.setattr(md, "forces", lambda pos, c, neighbours=None: dense(pos, c))
+    free, _ = _rebuilds(init_state(cfg), cfg, steps)
+    for name in ("pos", "vel", "force"):
+        assert getattr(listed, name).tobytes() == getattr(free, name).tobytes()
+
+
+def test_neighbour_list_rebuilds_past_half_skin():
+    # head-on pairs on the x axis: trajectory 0 starts just outside
+    # cutoff + skin, trajectory 1 just inside it
+    cfg = SimConfig(n=2, field=CONST_Z, dt=0.002, steps=1, box_half=2.55, wca_epsilon=1.0)
+    skin, edge, delta = md._SKIN, WCA_CUTOFF + md._SKIN, 1e-3
+    pos = np.zeros((2, 2, 3))
+    for r, gap in enumerate((edge + delta, edge - 4 * delta)):
+        pos[r, :, 0] = -0.5 * gap, 0.5 * gap
+    listed = md._neighbours(pos, cfg, None)
+    assert (listed.a.tolist(), listed.b.tolist()) == ([2], [3])
+
+    def closer(move):
+        moved = pos.copy()
+        moved[:, 0, 0] += move
+        moved[:, 1, 0] -= move
+        return moved
+
+    # each moved just under skin/2: no rebuild, and trajectory 1's pair,
+    # now inside the cutoff, is the only one with a force
+    moved = closer(0.5 * skin - delta)
+    assert md._neighbours(moved, cfg, listed) is listed
+    force = forces(moved, cfg, listed)
+    assert np.all(force[0] == 0.0) and np.all(force[1, :, 0] != 0.0)
+    assert force.tobytes() == forces(moved, cfg).tobytes()
+    # just over skin/2: trajectory 0's unlisted pair is inside the cutoff now
+    moved = closer(0.5 * skin + delta)
+    rebuilt = md._neighbours(moved, cfg, listed)
+    assert rebuilt is not listed
+    assert (rebuilt.a.tolist(), rebuilt.b.tolist()) == ([0, 2], [1, 3])
+    force = forces(moved, cfg, rebuilt)
+    assert np.all(force[:, :, 0] != 0.0)
+    assert force.tobytes() == forces(moved, cfg).tobytes()
 
 
 def cross_boris_rotate(vel, bvec, half_angle):

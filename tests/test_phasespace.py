@@ -8,11 +8,15 @@ from treverse.phasespace import (
     angular_momentum,
     antisymplectic_residual,
     apply,
-    is_antisymplectic,
     is_involution,
     is_orthogonal,
     reverses_angular_momentum,
 )
+
+
+def is_antisymplectic(op, tol=1e-12):
+    """True iff the induced map diag(A, -A) satisfies M^T omega M = -omega."""
+    return antisymplectic_residual(op.induced()) <= tol
 
 
 def random_signed_permutation(rng, m):

@@ -6,17 +6,41 @@ from treverse.enumeration import single_particle_catalog
 from treverse.spin import (
     catalog_spin_ops,
     check_su2_preservation,
-    conjugation_identity_check,
     pauli,
     pauli_vector,
     so3_to_su2,
     spin_coupling_residual,
     spin_lift,
-    su2_to_so3,
     t_squared_sign,
+    _require_unitary,
 )
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
+
+
+def _require_su2(U):
+    U = _require_unitary(U)
+    if abs(np.linalg.det(U) - 1.0) > 1e-12:
+        raise ValueError("matrix must be special unitary (det = 1)")
+    return U
+
+
+def su2_to_so3(U):
+    """Rotation L with U^dag s_j U = L[j, k] s_k, for special unitary U."""
+    U = _require_su2(U)
+    sig = pauli_vector()
+    out = np.empty((3, 3))
+    for j in range(3):
+        rotated = U.conj().T @ sig[j] @ U
+        for k in range(3):
+            out[j, k] = 0.5 * np.trace(sig[k] @ rotated).real
+    return out
+
+
+def conjugation_identity_check(U, tol=1e-13):
+    """sigma_y U sigma_y = conj(U) for special unitary U."""
+    U = _require_su2(U)
+    return bool(np.max(np.abs(SY @ U @ SY - U.conj())) <= tol)
 
 
 def random_su2(rng):
