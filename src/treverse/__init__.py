@@ -61,6 +61,7 @@ from .md import (
     antisymmetry_check,
     casimir_check,
     conjugacy_check,
+    diffusion_check,
     diffusion_tensor,
     init_state,
     step,

@@ -215,13 +215,9 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     report = en.enumeration_report(args.dim, args.family)
-    if args.family == "antisymmetric":
-        ops = en.enumerate_antisymmetric(args.dim)
-    else:
-        ops = en.enumerate_binary(args.dim)
     if args.format == "csv":
         rows = []
-        for op in ops:
+        for op in report.ops:
             c = en.class_of(op)
             rows.append([op.label, c.r1, c.r2]
                         + [int(v) for v in op.A.flatten()])
@@ -235,7 +231,7 @@ def cmd_enumerate(args) -> int:
             "match": report.match,
             "class_counts": [{"r1": k[0], "r2": k[1], "count": v}
                              for k, v in report.class_counts],
-            "ops": [{"label": op.label, "matrix": _matrix_rows(op)} for op in ops],
+            "ops": [{"label": op.label, "matrix": _matrix_rows(op)} for op in report.ops],
         }
     _emit(payload, args.format, args.out, f"enumerate-{args.family}-{args.dim}")
     return EXIT_OK if report.match else EXIT_VERIFICATION
@@ -383,46 +379,33 @@ def _parse_pairs(text: str):
     return pairs
 
 
-def cmd_simulate(args) -> int:
+def _sim_inputs(args) -> tuple[md.SimConfig, float]:
+    """The config file under the --seed override, and --max-lag (default steps*dt/4)."""
     cfg = parse_sim_config(Path(args.config).read_text())
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    return cfg, (cfg.steps * cfg.dt / 4.0 if args.max_lag is None else args.max_lag)
+
+
+def cmd_simulate(args) -> int:
+    cfg, max_lag = _sim_inputs(args)
     pairs = _parse_pairs(args.pairs) if args.pairs else md.component_pairs()
-    max_lag = cfg.steps * cfg.dt / 4.0 if args.max_lag is None else args.max_lag
     corr = md.velocity_correlator(cfg, pairs, max_lag, stride=args.stride)
-    payload = _correlator_payload(corr)
-    _emit(payload, "csv", args.out, "correlators")
-    if args.out is not None:
-        for p, label in enumerate(corr.labels()):
-            name = label.replace("*", "_").replace("[", "").replace("]", "")
-            lines = [f"{repr(float(l))} {repr(float(v))}"
-                     for l, v in zip(corr.lags, corr.mean()[p])]
-            (args.out / f"pair-{name}.dat").write_text("\n".join(lines) + "\n")
+    _emit(_correlator_payload(corr), "csv", args.out, "correlators")
     sys.stderr.write(f"energy drift {corr.energy_drift:.3e}\n")
     return EXIT_OK
 
 
 def cmd_correlate(args) -> int:
-    cfg = parse_sim_config(Path(args.config).read_text())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    max_lag = cfg.steps * cfg.dt / 4.0 if args.max_lag is None else args.max_lag
-    t_max = max_lag if args.t_max is None else args.t_max
-    corr = md.velocity_correlator(cfg, md.component_pairs(), max_lag,
-                                  stride=args.stride)
-    tensor = md.diffusion_tensor(corr, t_max)
-    verdict = md.antisymmetry_check(tensor)
-    payload = {
-        "d": _native(tensor.d), "se": _native(tensor.se),
-        "t_max": tensor.t_max, "converged": tensor.converged,
-        "antisymmetry": {"sum": verdict.value, "se": verdict.se,
-                         "ratio": verdict.ratio, "passed": verdict.passed},
-        "energy_drift": corr.energy_drift,
-    }
+    cfg, max_lag = _sim_inputs(args)
+    report = md.diffusion_check(cfg, max_lag, args.stride, args.t_max)
+    payload = {"antisymmetry": report.as_dict(), "d": report.tensor.d,
+               "se": report.tensor.se, "t_max": report.tensor.t_max,
+               "passed": report.passed}
     _emit(payload, "json", args.out, "diffusion")
     if args.out is not None:
-        _emit(_correlator_payload(corr), "csv", args.out, "correlators")
-    return EXIT_OK if verdict.passed else EXIT_VERIFICATION
+        _emit(_correlator_payload(report.corr), "csv", args.out, "correlators")
+    return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 def cmd_verify(args) -> int:

@@ -10,7 +10,7 @@ The quantum-only antisymmetric family tiles the index set with signed
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -90,6 +90,7 @@ class EnumerationReport:
     class_counts: tuple          # ((r1, r2), signed count) pairs
     total: int
     formula_total: int
+    ops: list = field(compare=False, repr=False)   # the enumerated operations
 
     @property
     def match(self) -> bool:
@@ -239,7 +240,7 @@ def enumeration_report(M: int, family: str = "binary",
         tally[key] = tally.get(key, 0) + 1
     counts = tuple(sorted(tally.items(), key=lambda kv: kv[0][1]))
     return EnumerationReport(M=M, family=family, class_counts=counts,
-                             total=len(ops), formula_total=formula)
+                             total=len(ops), formula_total=formula, ops=ops)
 
 
 def single_particle_catalog():

@@ -30,6 +30,8 @@ class SignatureError(ValueError):
 
 def site_operator(op_2x2: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed a single-site 2x2 operator into the 2^n-dimensional product space."""
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside 0..{n - 1}")
     out = np.ones((1, 1), dtype=complex)
     for j in range(n):
         out = np.kron(out, op_2x2 if j == site else np.eye(2))
@@ -220,9 +222,12 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
                          beta: float = 1.0, tol: float = 1e-8) -> KuboSymmetryReport:
     """Check <phi(0); psi(t)> = eta_phi eta_psi <phi(t); psi(0)> over the grid.
 
-    Refuses to run (raises) when T does not commute with H or when either
-    observable lacks a definite signature.
+    Refuses to run (raises) when the time grid is empty, when T does not
+    commute with H or when either observable lacks a definite signature.
     """
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("the time grid is empty")
     if not tr_commutes(system, tr):
         raise ValueError("time-reversal operator does not commute with H")
     eta_phi = phi.signature if phi.signature is not None \
@@ -230,7 +235,6 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
     eta_psi = psi.signature if psi.signature is not None \
         else detect_signature(tr, psi.matrix)
     state = ThermalState.of(system, beta)
-    times = np.asarray(times, dtype=float)
     lhs = np.empty(times.shape)
     rhs = np.empty(times.shape)
     worst_imag = 0.0
@@ -240,6 +244,6 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
         lhs[i] = a.value
         rhs[i] = eta_phi * eta_psi * b.value
         worst_imag = max(worst_imag, a.imag_residual, b.imag_residual)
-    dev = float(np.max(np.abs(lhs - rhs))) if times.size else 0.0
+    dev = float(np.max(np.abs(lhs - rhs)))
     return KuboSymmetryReport(times, lhs, rhs, eta_phi, eta_psi, dev,
                               worst_imag, tol)

@@ -391,10 +391,6 @@ class CorrelatorEstimate:
     per_traj: np.ndarray
     energy_drift: float = 0.0
 
-    @property
-    def n_trajectories(self) -> int:
-        return self.per_traj.shape[0]
-
     def mean(self) -> np.ndarray:
         return self.per_traj.mean(axis=0)
 
@@ -535,7 +531,7 @@ class DiffusionTensor:
     se: np.ndarray
     t_max: float
     converged: bool
-    per_traj: np.ndarray | None = None
+    per_traj: np.ndarray
 
 
 def component_pairs() -> list[tuple]:
@@ -544,42 +540,28 @@ def component_pairs() -> list[tuple]:
 
 
 def diffusion_tensor(corr: CorrelatorEstimate, t_max: float) -> DiffusionTensor:
-    """Integrate a 9-pair correlator estimate into the 3x3 tensor."""
+    """Integrate a correlator estimate of the nine component_pairs(), in
+    their order, into the 3x3 tensor."""
+    if list(corr.pairs) != _normalize_pairs(component_pairs()):
+        raise ValueError("the diffusion tensor needs the nine component_pairs(), in order")
     if not t_max >= 0.0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     if t_max > corr.lags[-1] + 1e-12:
         raise ValueError("t_max beyond the available lag grid")
     sel = corr.lags <= t_max + 1e-12
-    lag_sel = corr.lags[sel]
-    per_traj_d = np.trapezoid(corr.per_traj[:, :, sel], lag_sel, axis=-1)
-    mean_d = per_traj_d.mean(axis=0)
-    se_d = jackknife_se(per_traj_d)
-
-    index = {(a, b): k for k, (_, a, _, b) in enumerate(corr.pairs)}
-    d = np.full((3, 3), np.nan)
-    se = np.full((3, 3), np.nan)
-    samples = np.full((per_traj_d.shape[0], 3, 3), np.nan)
-    for r, a in enumerate(COMPONENTS):
-        for c, b in enumerate(COMPONENTS):
-            k = index.get((a, b))
-            if k is not None:
-                d[r, c] = mean_d[k]
-                se[r, c] = se_d[k]
-                samples[:, r, c] = per_traj_d[:, k]
+    samples = np.trapezoid(corr.per_traj[:, :, sel], corr.lags[sel], axis=-1).reshape(-1, 3, 3)
 
     # tail criterion: diagonal correlators must have decayed at the cutoff
     converged = True
     mean_c = corr.mean()
     tail = corr.lags[sel] >= 0.8 * t_max
-    for a in COMPONENTS:
-        k = index.get((a, a))
-        if k is None:
-            continue
+    for k in (0, 4, 8):     # xx, yy, zz
         c0 = abs(mean_c[k, 0])
         tail_level = float(np.mean(np.abs(mean_c[k, sel][tail])))
         if c0 > 0 and tail_level > 0.2 * c0:
             converged = False
-    return DiffusionTensor(d, se, float(t_max), converged, samples)
+    return DiffusionTensor(samples.mean(axis=0), jackknife_se(samples), float(t_max),
+                           converged, samples)
 
 
 @dataclass(frozen=True)
@@ -597,18 +579,43 @@ def antisymmetry_check(tensor: DiffusionTensor) -> AntisymmetryVerdict:
     """Off-diagonal antisymmetry D_xy = -D_yx within combined errors.
 
     The combined error is the jackknife error of the per-trajectory sums,
-    which keeps the cross correlation between the two estimates; when the
-    per-trajectory samples are unavailable the independent combination is
-    used instead.
+    which keeps the cross correlation between the two estimates.
     """
     value = float(tensor.d[0, 1] + tensor.d[1, 0])
-    if tensor.per_traj is not None and not np.any(np.isnan(tensor.per_traj[:, 0, 1])):
-        se = float(jackknife_se(tensor.per_traj[:, 0, 1] + tensor.per_traj[:, 1, 0]))
-    else:
-        se = float(math.hypot(tensor.se[0, 1], tensor.se[1, 0]))
+    se = float(jackknife_se(tensor.per_traj[:, 0, 1] + tensor.per_traj[:, 1, 0]))
     scale = max(abs(tensor.d[0, 0]), abs(tensor.d[0, 1]))
     ratio = abs(value) / scale if scale > 0 else math.inf
     return AntisymmetryVerdict(value, se, ratio)
+
+
+@dataclass(frozen=True)
+class DiffusionReport:
+    """The 9-pair correlator, its Green-Kubo tensor and the antisymmetry verdict."""
+
+    corr: CorrelatorEstimate
+    tensor: DiffusionTensor
+    verdict: AntisymmetryVerdict
+
+    @property
+    def passed(self) -> bool:
+        """D_xy = -D_yx within 3 SE, at under a tenth of the tensor's scale,
+        from correlators that have decayed by t_max."""
+        return self.verdict.passed and self.verdict.ratio < 0.1 and self.tensor.converged
+
+    def as_dict(self) -> dict:
+        return {
+            "d_xy": float(self.tensor.d[0, 1]), "d_yx": float(self.tensor.d[1, 0]),
+            "sum": self.verdict.value, "se": self.verdict.se, "ratio": self.verdict.ratio,
+            "converged": self.tensor.converged, "energy_drift": self.corr.energy_drift,
+        }
+
+
+def diffusion_check(cfg: SimConfig, max_lag: float, stride: int,
+                    t_max: float | None = None) -> DiffusionReport:
+    """Run the MD and integrate its correlators up to t_max (None: the last lag)."""
+    corr = velocity_correlator(cfg, component_pairs(), max_lag, stride=stride)
+    tensor = diffusion_tensor(corr, float(corr.lags[-1]) if t_max is None else t_max)
+    return DiffusionReport(corr, tensor, antisymmetry_check(tensor))
 
 
 def flip_field(spec: FieldSpec) -> FieldSpec:

@@ -257,16 +257,10 @@ def check_diffusion_antisymmetry(seed: int, scale: str) -> dict:
     ok = True
     stride = 25 if scale == "full" else 13
     for offset, (name, field) in enumerate(md_fields().items()):
-        cfg = diffusion_run_config(field, seed + 59 * offset, scale)
-        corr = md.velocity_correlator(cfg, md.component_pairs(), 10.0, stride=stride)
-        tensor = md.diffusion_tensor(corr, float(corr.lags[-1]))
-        verdict = md.antisymmetry_check(tensor)
-        ok = ok and verdict.passed and verdict.ratio < 0.1 and tensor.converged
-        details[name] = {
-            "d_xy": float(tensor.d[0, 1]), "d_yx": float(tensor.d[1, 0]),
-            "sum": verdict.value, "se": verdict.se, "ratio": verdict.ratio,
-            "converged": tensor.converged, "energy_drift": corr.energy_drift,
-        }
+        report = md.diffusion_check(diffusion_run_config(field, seed + 59 * offset, scale),
+                                    10.0, stride)
+        ok = ok and report.passed
+        details[name] = report.as_dict()
     return _criterion("7-diffusion-antisymmetry", ok, **details)
 
 

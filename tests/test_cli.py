@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from treverse import enumeration as en
 from treverse import md
-from treverse.cli import main, parse_op
+from treverse.cli import main, parse_op, parse_sim_config
 
 TWO_SPIN_SYSTEM = """
 site = 0.7 0.2 0  1.0
@@ -60,6 +61,21 @@ def test_enumerate_json(capsys):
     assert payload["total"] == payload["formula_total"] == 6
     assert payload["match"] is True
     assert len(payload["ops"]) == 6
+
+
+@pytest.mark.parametrize("family, fmt", [("binary", "json"), ("antisymmetric", "csv")])
+def test_enumerate_enumerates_once(capsys, monkeypatch, family, fmt):
+    calls = []
+    original = getattr(en, f"enumerate_{family}")
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(en, f"enumerate_{family}", counted)
+    code, *_ = run_cli(["enumerate", "--dim", "4", "--family", family,
+                        "--format", fmt], capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_enumerate_csv(capsys):
@@ -173,6 +189,21 @@ def test_kubo_symmetry_check(tmp_path, capsys):
     assert code == 2 and json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--phi", "sigma:x:5", "--psi", "sigma:x:1"], "site 5 outside 0..1"),
+    (["--phi", "sigma:x:0", "--psi", "sigma:x:-1"], "site -1 outside 0..1"),
+    (["--phi", "sigma:x:0", "--psi", "sigma:x:1", "--times", "0:10:0"],
+     "the time grid is empty"),
+])
+def test_kubo_rejects_bad_site_and_empty_grid(tmp_path, capsys, flags, message):
+    system = tmp_path / "system.txt"
+    system.write_text(TWO_SPIN_SYSTEM)
+    code, out, err = run_cli(["kubo", "--system", str(system), "--tr", "x,x", *flags],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_kubo_noncommuting_tr_is_error(tmp_path, capsys):
     system = tmp_path / "system.txt"
     system.write_text(TWO_SPIN_SYSTEM)
@@ -189,8 +220,7 @@ def test_simulate_writes_correlators(tmp_path, capsys):
                               "--pairs", "x,x;x,y", "--max-lag", "4.0",
                               "--stride", "2", "--out", str(out_dir)], capsys)
     assert code == 0
-    assert (out_dir / "correlators.csv").exists()
-    assert (out_dir / "pair-vx_vx.dat").exists()
+    assert [p.name for p in out_dir.iterdir()] == ["correlators.csv"]
     header = (out_dir / "correlators.csv").read_text().splitlines()[0]
     assert header.startswith("lag,vx*vx,se(vx*vx)")
 
@@ -201,9 +231,32 @@ def test_correlate_diffusion_json(tmp_path, capsys):
     code, out, _ = run_cli(["correlate", "--config", str(config),
                             "--max-lag", "4.0", "--stride", "2"], capsys)
     payload = json.loads(out)
-    assert "antisymmetry" in payload and "d" in payload
-    assert code in (0, 2)     # verdict decides the exit code
-    assert code == (0 if payload["antisymmetry"]["passed"] else 2)
+    report = md.diffusion_check(parse_sim_config(TINY_SIM), 4.0, 2)
+    assert payload["antisymmetry"] == report.as_dict()
+    assert payload["d"] == report.tensor.d.tolist()
+    assert payload["t_max"] == report.tensor.t_max == 4.0
+    # D_xy = -D_yx holds within 3 SE, but the free particle's correlators
+    # have not decayed by t_max, so the criterion-7 gate fails
+    assert report.verdict.passed and not payload["antisymmetry"]["converged"]
+    assert payload["passed"] is False and code == 2
+
+
+def test_correlate_exits_0_when_the_gate_passes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(md.DiffusionReport, "passed", property(lambda self: True))
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, out, _ = run_cli(["correlate", "--config", str(config),
+                            "--max-lag", "4.0", "--stride", "2"], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_correlate_t_max_defaults_to_the_last_lag(tmp_path, capsys):
+    # 0.54 is not on the 0.1 lag grid: the grid ends at 0.5
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    code, out, _ = run_cli(["correlate", "--config", str(config),
+                            "--max-lag", "0.54", "--stride", "2"], capsys)
+    assert code == 2 and json.loads(out)["t_max"] == 0.5
 
 
 @pytest.mark.parametrize("stride", ["0", "-2"])

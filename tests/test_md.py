@@ -602,6 +602,43 @@ def test_free_particle_diffusion_integral_matches_quadrature():
     assert d_xy == pytest.approx(closed, abs=1e-4)
 
 
+def diffusion_tensor_by_pair(corr, t_max):
+    """d, se and per-trajectory integrals placed pair by pair into the 3x3 grid."""
+    sel = corr.lags <= t_max + 1e-12
+    per_traj_d = np.trapezoid(corr.per_traj[:, :, sel], corr.lags[sel], axis=-1)
+    mean_d, se_d = per_traj_d.mean(axis=0), jackknife_se(per_traj_d)
+    index = {(a, b): k for k, (_, a, _, b) in enumerate(corr.pairs)}
+    d, se = np.empty((3, 3)), np.empty((3, 3))
+    samples = np.empty((per_traj_d.shape[0], 3, 3))
+    for r, a in enumerate("xyz"):
+        for c, b in enumerate("xyz"):
+            k = index[(a, b)]
+            d[r, c], se[r, c], samples[:, r, c] = mean_d[k], se_d[k], per_traj_d[:, k]
+    return d, se, samples
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 40])
+def test_diffusion_tensor_matches_pairwise_assembly(r):
+    rng = np.random.default_rng(r)
+    lags = np.arange(31) * 0.026
+    corr = CorrelatorEstimate(lags, tuple(_normalize_pairs(component_pairs())),
+                              rng.normal(size=(r, 9, lags.size)))
+    for t_max in (float(lags[-1]), 0.5):
+        tensor = diffusion_tensor(corr, t_max)
+        for got, want in zip((tensor.d, tensor.se, tensor.per_traj),
+                             diffusion_tensor_by_pair(corr, t_max)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_diffusion_tensor_needs_the_nine_component_pairs():
+    lags = np.arange(5) * 0.1
+    pairs = _normalize_pairs(component_pairs())
+    for subset in (pairs[:1], pairs[::-1]):
+        corr = CorrelatorEstimate(lags, tuple(subset), np.ones((3, len(subset), 5)))
+        with pytest.raises(ValueError, match="nine component_pairs"):
+            diffusion_tensor(corr, 0.4)
+
+
 def test_antisymmetry_exact_for_analytic_tensor():
     lags = np.linspace(0.0, 2 * np.pi, 129)
     oracle = cyclotron_correlators(1.0, 1.0, 1.0, 1.0, lags)
