@@ -404,7 +404,7 @@ def cmd_correlate(args) -> int:
                "passed": report.passed}
     _emit(payload, "json", args.out, "diffusion")
     if args.out is not None:
-        _emit(_correlator_payload(report.corr), "csv", args.out, "correlators")
+        (args.out / "correlators.csv").write_text(_to_csv(_correlator_payload(report.corr)))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 

@@ -160,11 +160,14 @@ def canonical_correlator(system: SpinSystem, beta: float, phi: Observable,
     stay below the reality tolerance for Hermitian inputs.
     """
     state = ThermalState.of(system, beta)
-    return _correlator_in_basis(state, phi.matrix, psi.matrix, t)
+    value, imag = _correlator_in_basis(state, phi.matrix, psi.matrix, [t])
+    return CorrelatorValue(float(value[0]), float(imag[0]))
 
 
 def _correlator_in_basis(state: ThermalState, phi: np.ndarray, psi: np.ndarray,
-                         t: float, time_on: str = "psi") -> CorrelatorValue:
+                         times) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts and |imaginary parts| of <phi(0); psi(t)> at each of the
+    times, from one eigenbasis transform and one set of weights."""
     v = state.vectors
     phi_e = v.conj().T @ phi @ v
     psi_e = v.conj().T @ psi @ v
@@ -175,11 +178,10 @@ def _correlator_in_basis(state: ThermalState, phi: np.ndarray, psi: np.ndarray,
         weight = (rho[None, :] - rho[:, None]) / (state.beta * gap)
     small = np.abs(gap) <= DEGENERATE_GAP
     weight[small] = np.broadcast_to(rho[:, None], weight.shape)[small]
-    # phase[m, n] multiplies phi_mn psi_nm; time on psi rotates with E_n - E_m
-    sign = -1.0 if time_on == "psi" else 1.0
-    phase = np.exp(sign * 1j * gap * t)
-    total = np.sum(weight * phase * phi_e * psi_e.T)
-    return CorrelatorValue(float(total.real), float(abs(total.imag)))
+    # the phase [m, n] multiplies phi_mn psi_nm: time on psi rotates with E_n - E_m
+    totals = np.array([np.sum(weight * np.exp(-1j * gap * t) * phi_e * psi_e.T)
+                       for t in times], dtype=complex)
+    return totals.real, np.abs(totals.imag)
 
 
 def tr_commutes(system: SpinSystem, tr: SpinTimeReversal,
@@ -234,16 +236,12 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
         else detect_signature(tr, phi.matrix)
     eta_psi = psi.signature if psi.signature is not None \
         else detect_signature(tr, psi.matrix)
-    state = ThermalState.of(system, beta)
-    lhs = np.empty(times.shape)
-    rhs = np.empty(times.shape)
-    worst_imag = 0.0
-    for i, t in enumerate(times):
-        a = _correlator_in_basis(state, phi.matrix, psi.matrix, t, "psi")
-        b = _correlator_in_basis(state, phi.matrix, psi.matrix, t, "phi")
-        lhs[i] = a.value
-        rhs[i] = eta_phi * eta_psi * b.value
-        worst_imag = max(worst_imag, a.imag_residual, b.imag_residual)
+    # <phi(t); psi(0)> = <phi(0); psi(-t)> by stationarity
+    value, imag = _correlator_in_basis(ThermalState.of(system, beta), phi.matrix,
+                                       psi.matrix, np.concatenate([times, -times]))
+    lhs = value[:times.size]
+    rhs = eta_phi * eta_psi * value[times.size:]
+    worst_imag = float(np.max(imag))
     dev = float(np.max(np.abs(lhs - rhs)))
     return KuboSymmetryReport(times, lhs, rhs, eta_phi, eta_psi, dev,
                               worst_imag, tol)

@@ -52,8 +52,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FAMILY_CONSTANT, FieldSpec, eval_field, field_scale
-from .phasespace import PhasePoint, TimeReversalOp
+from .fields import FAMILY_CONSTANT, FieldSpec, eval_field, field_scale, find_compatible
+from .phasespace import PhasePoint, TimeReversalOp, symmetry_constraints
 
 WCA_CUTOFF = 2.0 ** (1.0 / 6.0)
 COMPONENTS = "xyz"
@@ -63,7 +63,7 @@ _SKIN = 0.3
 
 
 class NotApplicable(ValueError):
-    """The field admits no operation pair forcing a correlator to vanish."""
+    """The field's compatible operations force no correlator to vanish."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,12 @@ class SimConfig:
     thermostat_interval: int = 10
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one particle")
-        if self.dt <= 0.0 or self.steps < 1 or self.n_trajectories < 1:
-            raise ValueError("dt, steps and n_trajectories must be positive")
+        for name in ("n", "dt", "steps", "n_trajectories", "mass", "box_half",
+                     "thermostat_interval"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.temperature >= 0.0:
+            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
         omega_c = abs(self.charge) * field_scale(self.field, self.box_half) / self.mass
         if self.dt * omega_c >= 0.2:
             raise ValueError(
@@ -627,6 +629,12 @@ def flip_field(spec: FieldSpec) -> FieldSpec:
     return FieldSpec.planar(-spec.cmat, label=f"-({spec.label})")
 
 
+def _sigma(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """diff / se per lag, 0 where diff is exactly 0 (also where se is 0)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(diff == 0.0, 0.0, diff / se)
+
+
 @dataclass(frozen=True)
 class CasimirReport:
     """Correlators at field B against their partners at -B."""
@@ -652,47 +660,18 @@ def casimir_check(cfg: SimConfig, pairs, max_lag: float,
     rev = velocity_correlator(replace(cfg, field=flip_field(cfg.field)),
                               swapped, max_lag, stride)
     se = np.sqrt(fwd.se() ** 2 + rev.se() ** 2)
-    diff = np.abs(fwd.mean() - rev.mean())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sigma = np.where(diff == 0.0, 0.0, diff / se)
+    sigma = _sigma(np.abs(fwd.mean() - rev.mean()), se)
     return CasimirReport(fwd.lags, tuple(pairs), fwd.mean(), rev.mean(),
                          se, float(np.max(sigma)))
 
 
-def _slot_action(block: np.ndarray, axis: int) -> tuple[int, int]:
-    """Image (component, sign) of velocity component `axis` under -R."""
-    row = -block[axis]
-    col = int(np.argmax(np.abs(row)))
-    return col, int(round(row[col]))
-
-
 def forced_zero_pairs(spec: FieldSpec) -> list[tuple[str, str]]:
-    """Component pairs whose correlator two compatible symmetries force to zero.
-
-    Two catalog operations acting identically on one velocity slot and with
-    opposite signs (same image component) on the other pin the correlator
-    to minus itself.
-    """
-    from .fields import find_compatible
-
-    ops = [op for op in find_compatible(spec).ops if op.is_signed_permutation]
-    blocks = [op.A.astype(float) for op in ops]
-    forced = set()
-    for ai in range(3):
-        for bi in range(3):
-            if ai == bi:
-                continue
-            for x in range(len(blocks)):
-                for y in range(x + 1, len(blocks)):
-                    a1, a2 = _slot_action(blocks[x], ai), _slot_action(blocks[y], ai)
-                    b1, b2 = _slot_action(blocks[x], bi), _slot_action(blocks[y], bi)
-                    same_a = a1 == a2
-                    opposite_b = b1[0] == b2[0] and b1[1] == -b2[1]
-                    same_b = b1 == b2
-                    opposite_a = a1[0] == a2[0] and a1[1] == -a2[1]
-                    if (same_a and opposite_b) or (same_b and opposite_a):
-                        forced.add((COMPONENTS[ai], COMPONENTS[bi]))
-    return sorted(forced)
+    """Component pairs (a, b) whose correlator is forced to zero: each compatible
+    block A gives C(t) = A C(t)^T A^T, and e_ab lies in the row space of these
+    conditions (its row-space weight is 1)."""
+    blocks = np.array([op.A for op in find_compatible(spec).ops], dtype=float)
+    weight = np.sum(symmetry_constraints(blocks.reshape(-1, 3, 3)) ** 2, axis=0)
+    return [pair for pair, w in zip(component_pairs(), weight) if abs(w - 1.0) <= 1e-9]
 
 
 @dataclass(frozen=True)
@@ -712,11 +691,9 @@ def vanishing_correlator_check(cfg: SimConfig, max_lag: float,
     forced = forced_zero_pairs(cfg.field)
     if not forced:
         raise NotApplicable(
-            f"no operation pair forces a zero correlator for {cfg.field.label}")
+            f"no compatible operation forces a zero correlator for {cfg.field.label}")
     corr = velocity_correlator(cfg, forced, max_lag, stride)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sigma = np.abs(corr.mean()) / corr.se()
-    sigma = np.where(np.abs(corr.mean()) == 0.0, 0.0, sigma)
+    sigma = _sigma(np.abs(corr.mean()), corr.se())
     return VanishingReport(tuple(forced), sigma.max(axis=1), corr.lags)
 
 

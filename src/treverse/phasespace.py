@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+# singular values of the stacked constraint maps at or below this are
+# roundoff: for the single-particle catalog the kept ones are >= 2.8 and the
+# dropped ones <= 7e-16
+CONSTRAINT_RANK_CUT = 1e-9
 
 KIND_BINARY = "binary-signed-permutation"
 KIND_ANTISYMMETRIC = "antisymmetric-block"
@@ -145,6 +149,20 @@ def antisymplectic_residual(P: np.ndarray) -> float:
         raise ValueError("P must be square of even dimension")
     omega = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(P.shape[0] // 2))
     return float(np.max(np.abs(P.T @ omega @ P + omega)))
+
+
+def symmetry_constraints(blocks) -> np.ndarray:
+    """Orthonormal rows c, one per independent condition c . vec(X) = 0 (vec
+    row-major) that X = A X^T A^T for every block A of a (k, m, m) stack
+    imposes: the row space of the stacked maps X -> X - A X^T A^T, by one
+    SVD with a fixed rank cut.  An empty stack gives shape (0, m * m)."""
+    blocks = np.asarray(blocks, dtype=float)
+    k, m, _ = blocks.shape
+    # (A X^T A^T)_ab = sum_cd A_ac X_dc A_bd: row (a, b), column (d, c)
+    images = np.einsum("kac,kbd->kabdc", blocks, blocks).reshape(k, m * m, m * m)
+    maps = (np.eye(m * m) - images).reshape(k * m * m, m * m)
+    _, s, vt = np.linalg.svd(maps, full_matrices=False)
+    return vt[:np.count_nonzero(s > CONSTRAINT_RANK_CUT)]
 
 
 def _apply_rows(op: TimeReversalOp, coords: np.ndarray,

@@ -259,6 +259,41 @@ def test_correlate_t_max_defaults_to_the_last_lag(tmp_path, capsys):
     assert code == 2 and json.loads(out)["t_max"] == 0.5
 
 
+def test_correlate_out_keeps_stdout_json(tmp_path, capsys):
+    config = tmp_path / "sim.txt"
+    config.write_text(TINY_SIM)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(["correlate", "--config", str(config), "--max-lag", "0.5",
+                            "--stride", "2", "--out", str(out_dir)], capsys)
+    assert code == 2 and "antisymmetry" in json.loads(out)
+    assert sorted(p.name for p in out_dir.iterdir()) == ["correlators.csv", "diffusion.json"]
+    assert (out_dir / "diffusion.json").read_text() == out
+    header = (out_dir / "correlators.csv").read_text().splitlines()[0]
+    assert header.startswith("lag,vx*vx,se(vx*vx)")
+
+
+def sim_text(**entries):
+    """TINY_SIM with entries replaced or added."""
+    base = dict(line.split(" = ") for line in TINY_SIM.strip().splitlines())
+    base.update({key: str(value) for key, value in entries.items()})
+    return "".join(f"{key} = {value}\n" for key, value in base.items())
+
+
+@pytest.mark.parametrize("entries, name", [
+    (dict(mass=0), "mass"),
+    (dict(thermostat_interval=0, equilibration=10), "thermostat_interval"),
+    (dict(box_half=0, field="axial:1,0.1"), "box_half"),
+    (dict(temperature=-1), "temperature"),
+])
+def test_simulate_rejects_non_physical_config(tmp_path, capsys, entries, name):
+    config = tmp_path / "sim.txt"
+    config.write_text(sim_text(**entries))
+    code, out, err = run_cli(["simulate", "--config", str(config), "--pairs", "x,x",
+                              "--max-lag", "0.5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and name in err
+
+
 @pytest.mark.parametrize("stride", ["0", "-2"])
 def test_simulate_rejects_stride_below_one(tmp_path, capsys, stride):
     config = tmp_path / "sim.txt"

@@ -176,6 +176,37 @@ def test_reality_on_random_pairs():
     assert worst <= 1e-10
 
 
+def two_branch_kernel(state, phi, psi, t, time_on="psi"):
+    """The kernel _correlator_in_basis replaced: the eigenbasis and weights
+    formed per call, and the time on psi or on phi."""
+    v = state.vectors
+    phi_e = v.conj().T @ phi @ v
+    psi_e = v.conj().T @ psi @ v
+    e = state.energies
+    rho = state.weights
+    gap = e[:, None] - e[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = (rho[None, :] - rho[:, None]) / (state.beta * gap)
+    small = np.abs(gap) <= kubo.DEGENERATE_GAP
+    weight[small] = np.broadcast_to(rho[:, None], weight.shape)[small]
+    sign = -1.0 if time_on == "psi" else 1.0
+    phase = np.exp(sign * 1j * gap * t)
+    total = np.sum(weight * phase * phi_e * psi_e.T)
+    return float(total.real), float(abs(total.imag))
+
+
+def two_branch_symmetry(state, phi, psi, times):
+    """lhs, rhs / (eta_phi eta_psi) and the worst imaginary residual, per time."""
+    lhs, rhs, worst = [], [], 0.0
+    for t in times:
+        a = two_branch_kernel(state, phi, psi, t, "psi")
+        b = two_branch_kernel(state, phi, psi, t, "phi")
+        lhs.append(a[0])
+        rhs.append(b[0])
+        worst = max(worst, a[1], b[1])
+    return np.array(lhs), np.array(rhs), worst
+
+
 def test_stationarity_time_shift():
     rng = np.random.default_rng(13)
     system = two_spin_reference()
@@ -184,9 +215,40 @@ def test_stationarity_time_shift():
         phi = random_observable(rng, 4)
         psi = random_observable(rng, 4)
         t = float(rng.uniform(-3, 3))
-        a = _correlator_in_basis(state, phi.matrix, psi.matrix, t, "psi")
-        b = _correlator_in_basis(state, phi.matrix, psi.matrix, -t, "phi")
-        assert a.value == pytest.approx(b.value, abs=1e-10)
+        a = two_branch_kernel(state, phi.matrix, psi.matrix, t, "psi")
+        b = two_branch_kernel(state, phi.matrix, psi.matrix, -t, "phi")
+        assert a[0] == pytest.approx(b[0], abs=1e-10)
+
+
+def test_time_reversed_side_bitwise_equals_two_branch_kernel():
+    # <phi(t); psi(0)> is the one kernel at -t: 201 systems x 20 times x 2 sides
+    rng = np.random.default_rng(16)
+    systems = [(two_spin_reference(), 1.3)]
+    systems += [(random_system(rng), float(rng.uniform(0.2, 2.0))) for _ in range(200)]
+    for system, beta in systems:
+        state = ThermalState.of(system, beta)
+        phi = random_observable(rng, system.dim).matrix
+        psi = random_observable(rng, system.dim).matrix
+        times = rng.uniform(-5.0, 5.0, 20)
+        times[0] = 0.0
+        value, imag = _correlator_in_basis(state, phi, psi, np.concatenate([times, -times]))
+        lhs, rhs, worst = two_branch_symmetry(state, phi, psi, times)
+        assert value.tobytes() == np.concatenate([lhs, rhs]).tobytes()
+        assert np.float64(np.max(imag)).tobytes() == np.float64(worst).tobytes()
+
+
+def test_symmetry_report_bitwise_equals_two_branch_loop():
+    system = two_spin_reference()
+    tr = SpinTimeReversal((pauli("x"), pauli("x")))
+    phi = Observable(site_operator(pauli("x"), 0, 2))
+    psi = Observable(site_operator(pauli("x"), 1, 2))
+    times = np.linspace(0.0, 10.0, 16)
+    report = verify_kubo_symmetry(system, tr, phi, psi, times, beta=1.3)
+    lhs, rhs, worst = two_branch_symmetry(ThermalState.of(system, 1.3), phi.matrix,
+                                          psi.matrix, times)
+    assert report.lhs.tobytes() == lhs.tobytes()
+    assert report.rhs.tobytes() == (report.eta_phi * report.eta_psi * rhs).tobytes()
+    assert np.float64(report.max_imag_residual).tobytes() == np.float64(worst).tobytes()
 
 
 def test_thermal_state_weights():

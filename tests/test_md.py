@@ -1,10 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from treverse.cli import parse_sim_config
-from treverse.fields import FieldSpec, eval_field
+from treverse.fields import FieldSpec, builtin_fields, eval_field, find_compatible
 from treverse.md import (
     CorrelatorEstimate,
     MDState,
@@ -31,8 +32,10 @@ from treverse.md import (
     velocity_correlator,
 )
 from treverse import md
-from treverse.md import WCA_CUTOFF, _apply_block, _chunk_correlators, _normalize_pairs
-from treverse.phasespace import PhasePoint, TimeReversalOp
+from treverse.md import (
+    COMPONENTS, WCA_CUTOFF, _apply_block, _chunk_correlators, _normalize_pairs,
+)
+from treverse.phasespace import PhasePoint, TimeReversalOp, symmetry_constraints
 from treverse.verify import diffusion_run_config, md_fields
 
 CONST_Z = FieldSpec.constant([0.0, 0.0, 1.0], label="constant-z")
@@ -660,10 +663,16 @@ def test_casimir_free_particle_closed_form():
     assert np.allclose(fwd[("x", "y")], -rev[("x", "y")])
 
 
-def test_casimir_check_free_particle():
+def test_casimir_check_free_particle(monkeypatch):
+    calls = spy_sigma(monkeypatch)
     cfg = free_config(dt=0.05, steps=1500, seed=11, n_trajectories=300)
     report = casimir_check(cfg, [("x", "y")], max_lag=8.0, stride=4)
     assert report.passed
+    [(diff, se, sigma)] = calls
+    assert diff.tobytes() == np.abs(report.forward - report.reverse).tobytes()
+    assert se.tobytes() == report.se_combined.tobytes()
+    assert sigma.tobytes() == replaced_casimir_sigma(diff, se).tobytes()
+    assert report.max_sigma == float(np.max(sigma))
 
 
 def test_casimir_interacting_desk_scale():
@@ -699,6 +708,131 @@ def test_forced_zero_pairs_axial_matches_constant():
     assert forced_zero_pairs(FieldSpec.axial([1.0, 0.2])) == forced_zero_pairs(CONST_Z)
 
 
+def _slot_action(block, axis):
+    """Image (component, sign) of velocity component `axis` under -R."""
+    row = -block[axis]
+    col = int(np.argmax(np.abs(row)))
+    return col, int(round(row[col]))
+
+
+def pairwise_forced_zero_pairs(spec):
+    """The search forced_zero_pairs replaced: two compatible operations acting
+    identically on one velocity slot and with opposite signs (same image
+    component) on the other pin the correlator to minus itself."""
+    ops = [op for op in find_compatible(spec).ops if op.is_signed_permutation]
+    blocks = [op.A.astype(float) for op in ops]
+    forced = set()
+    for ai in range(3):
+        for bi in range(3):
+            if ai == bi:
+                continue
+            for x in range(len(blocks)):
+                for y in range(x + 1, len(blocks)):
+                    a1, a2 = _slot_action(blocks[x], ai), _slot_action(blocks[y], ai)
+                    b1, b2 = _slot_action(blocks[x], bi), _slot_action(blocks[y], bi)
+                    same_a = a1 == a2
+                    opposite_b = b1[0] == b2[0] and b1[1] == -b2[1]
+                    same_b = b1 == b2
+                    opposite_a = a1[0] == a2[0] and a1[1] == -a2[1]
+                    if (same_a and opposite_b) or (same_b and opposite_a):
+                        forced.add((COMPONENTS[ai], COMPONENTS[bi]))
+    return sorted(forced)
+
+
+def oracle_fields():
+    """The 27 constant directions in {-1, 0, 1}^3, 20 random constant, 20
+    random axial and 20 random planar fields, and the 3 builtins."""
+    rng = np.random.default_rng(21)
+    fields = [FieldSpec.constant(b) for b in itertools.product((-1.0, 0.0, 1.0), repeat=3)]
+    for _ in range(20):
+        # some components zeroed, so that some random fields keep symmetries
+        b = rng.normal(size=3) * rng.integers(0, 2, size=3)
+        fields.append(FieldSpec.constant(b))
+    for _ in range(20):
+        fields.append(FieldSpec.axial(rng.normal(size=rng.integers(1, 4))))
+    for _ in range(20):
+        m = rng.integers(1, 4)
+        c = rng.normal(size=(m, m)) * rng.integers(0, 2, size=(m, m))
+        fields.append(FieldSpec.planar(c + c.T))
+    return fields + list(builtin_fields().values())
+
+
+def test_forced_zero_pairs_match_pairwise_search():
+    fields = oracle_fields()
+    assert len(fields) == 90
+    lists = [forced_zero_pairs(spec) for spec in fields]
+    assert lists == [pairwise_forced_zero_pairs(spec) for spec in fields]
+    # the set is not degenerate: empty, partial and full lists all occur
+    assert {len(forced) for forced in lists} == {0, 4, 6}
+
+
+def constraint_rows(spec):
+    blocks = np.array([op.A for op in find_compatible(spec).ops], dtype=float)
+    return symmetry_constraints(blocks.reshape(-1, 3, 3))
+
+
+@pytest.mark.parametrize("spec, rank", [
+    (CONST_Z, 6), (FieldSpec.axial([1.0, 0.2]), 6),
+    (builtin_fields()["planar-quartic"], 6), (ZERO, 8),
+    (FieldSpec.constant([1.0, 1.0, 1.0]), 6), (FieldSpec.constant([1.0, 1.0, 0.0]), 5),
+])
+def test_constraint_rank(spec, rank):
+    assert constraint_rows(spec).shape == (rank, 9)
+
+
+def test_generic_direction_has_no_constraints():
+    generic = FieldSpec.constant([0.3, -1.2, 0.7], label="generic")
+    assert find_compatible(generic).ops == ()
+    assert constraint_rows(generic).shape == (0, 9)
+    assert forced_zero_pairs(generic) == []
+    cfg = SimConfig(n=1, field=generic, dt=0.02, steps=100, seed=0)
+    with pytest.raises(NotApplicable):
+        vanishing_correlator_check(cfg, max_lag=1.0)
+
+
+def test_constant_z_constraints_span():
+    """D_xy = -D_yx, D_xx = D_yy and the four xz/yz entries zero."""
+    xx, xy, xz, yx, yy, yz, zx, zy, _ = np.eye(9)      # row-major unit vectors
+    q, _ = np.linalg.qr(np.array([xy + yx, xx - yy, xz, zx, yz, zy]).T)
+    rows = constraint_rows(CONST_Z)
+    assert np.allclose(rows.T @ rows, q @ q.T, atol=1e-12)
+    # criterion 7's antisymmetry row D_xy + D_yx lies in the row space
+    assert np.linalg.norm(rows @ (xy + yx)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def replaced_casimir_sigma(diff, se):
+    """The sigma casimir_check formed before md._sigma."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(diff == 0.0, 0.0, diff / se)
+
+
+def replaced_vanishing_sigma(mean, se):
+    """The sigma vanishing_correlator_check formed before md._sigma."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sigma = np.abs(mean) / se
+    return np.where(np.abs(mean) == 0.0, 0.0, sigma)
+
+
+def test_sigma_matches_both_replaced_forms():
+    mean = np.array([[0.0, 0.0, -0.0, 1.5, -2.0, np.nan, 1e-300, 3.0]])
+    se = np.array([[0.0, 1.0, 0.0, 0.0, 0.5, 1.0, 1e300, np.inf]])
+    got = md._sigma(np.abs(mean), se)
+    assert got.tobytes() == replaced_casimir_sigma(np.abs(mean), se).tobytes()
+    assert got.tobytes() == replaced_vanishing_sigma(mean, se).tobytes()
+
+
+def spy_sigma(monkeypatch):
+    calls = []
+    real = md._sigma
+
+    def spy(diff, se):
+        out = real(diff, se)
+        calls.append((diff, se, out))
+        return out
+    monkeypatch.setattr(md, "_sigma", spy)
+    return calls
+
+
 def test_vanishing_check_not_applicable():
     tilted = FieldSpec.constant([1.0, 1.0, 1.0], label="tilted")
     assert forced_zero_pairs(tilted) == []
@@ -707,11 +841,15 @@ def test_vanishing_check_not_applicable():
         vanishing_correlator_check(cfg, max_lag=1.0)
 
 
-def test_vanishing_check_free_particles():
+def test_vanishing_check_free_particles(monkeypatch):
+    calls = spy_sigma(monkeypatch)
     cfg = free_config(dt=0.05, steps=1500, seed=13, n_trajectories=300)
     report = vanishing_correlator_check(cfg, max_lag=8.0, stride=4)
     assert report.pairs == (("x", "z"), ("y", "z"), ("z", "x"), ("z", "y"))
     assert report.passed
+    [(diff, se, sigma)] = calls
+    assert sigma.tobytes() == replaced_vanishing_sigma(diff, se).tobytes()
+    assert report.max_sigma_per_pair.tobytes() == sigma.max(axis=1).tobytes()
 
 
 def test_phasepoint_roundtrip():

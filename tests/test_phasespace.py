@@ -11,6 +11,7 @@ from treverse.phasespace import (
     is_involution,
     is_orthogonal,
     reverses_angular_momentum,
+    symmetry_constraints,
 )
 
 
@@ -256,3 +257,50 @@ def test_reversal_sample_count_edge_cases():
         (True, None, 0.0)
     with pytest.raises(ValueError, match="samples must be non-negative"):
         reverses_angular_momentum(op, samples=-1, seed=1)
+
+
+def transpose_map(a):
+    """The m^2 x m^2 matrix of X -> A X^T A^T on row-major vec(X), column by column."""
+    m = a.shape[0]
+    cols = []
+    for k in range(m * m):
+        e = np.zeros(m * m)
+        e[k] = 1.0
+        cols.append((a @ e.reshape(m, m).T @ a.T).ravel())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("theta", [0.1, 1.0, np.pi])
+def test_symmetry_constraints_single_block(m, theta):
+    """For one orthogonal block the rows are orthonormal, their number is the
+    codimension of the fixed space of X -> A X^T A^T (read off its
+    eigenvalues), and removing them from any X leaves a fixed point.  The
+    rotation by 0.1 gives conditions with singular values about 0.1."""
+    rng = np.random.default_rng(int(10 * theta) + m)
+    q = random_orthogonal(rng, m)
+    rot = np.eye(m)
+    rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    a = q @ rot @ q.T
+    rows = symmetry_constraints(a[None])
+    t = transpose_map(a)
+    fixed = int(np.sum(np.abs(np.linalg.eigvals(t) - 1.0) < 1e-6))
+    assert rows.shape == (m * m - fixed, m * m)
+    assert np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+    for _ in range(5):
+        x = rng.normal(size=m * m)
+        x0 = x - rows.T @ (rows @ x)
+        assert np.allclose(t @ x0, x0, atol=1e-12)
+
+
+def test_symmetry_constraints_stack_and_empty():
+    rng = np.random.default_rng(4)
+    blocks = np.array([random_orthogonal(rng, 3) for _ in range(3)])
+    rows = symmetry_constraints(blocks)
+    assert np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+    x0 = (np.eye(9) - rows.T @ rows) @ rng.normal(size=9)
+    for a in blocks:
+        assert np.allclose(transpose_map(a) @ x0, x0, atol=1e-12)
+    # the identity block leaves only the symmetric X: 3 antisymmetric conditions
+    assert symmetry_constraints(np.eye(3)[None]).shape == (3, 9)
+    assert symmetry_constraints(np.zeros((0, 3, 3))).shape == (0, 9)
