@@ -320,8 +320,7 @@ def _parse_observable(text: str, n: int) -> kb.Observable:
     kind, axis, site = text.split(":")
     if kind != "sigma":
         raise ValueError(f"unknown observable syntax {text!r}")
-    return kb.Observable(kb.site_operator(sp.pauli(axis), int(site), n),
-                         label=text)
+    return kb.Observable(kb.site_operator(sp.pauli(axis), int(site), n))
 
 
 def cmd_kubo(args) -> int:

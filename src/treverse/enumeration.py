@@ -157,7 +157,7 @@ def _involutions_with_cycle_type(M, r2):
             yield perm, pairs
 
 
-def enumerate_binary(M: int, cap: int = ENUMERATION_CAP):
+def enumerate_binary(M: int):
     """Every orthogonal involutory signed permutation of dimension M.
 
     Each operation is tagged with its cycle type; cycles carry one shared
@@ -165,8 +165,8 @@ def enumerate_binary(M: int, cap: int = ENUMERATION_CAP):
     """
     if M < 1:
         raise ValueError("dimension must be at least 1")
-    if M > cap:
-        raise CapExceeded(f"dimension {M} above enumeration cap {cap}")
+    if M > ENUMERATION_CAP:
+        raise CapExceeded(f"dimension {M} above enumeration cap {ENUMERATION_CAP}")
     ops = []
     for r2 in range(M // 2 + 1):
         c = ConjClass(M - 2 * r2, r2)
@@ -188,13 +188,13 @@ def enumerate_binary(M: int, cap: int = ENUMERATION_CAP):
     return [op for _, op in ops]
 
 
-def enumerate_antisymmetric(M: int, cap: int = ENUMERATION_CAP):
+def enumerate_antisymmetric(M: int):
     """All antisymmetric orthogonal matrices with A^2 = -I (signed 2-cycle tilings)."""
     if M % 2 != 0 or M < 2:
         raise NoAntisymmetricFamily(
             f"no real antisymmetric orthogonal block with square -I in dimension {M}")
-    if M > cap:
-        raise CapExceeded(f"dimension {M} above enumeration cap {cap}")
+    if M > ENUMERATION_CAP:
+        raise CapExceeded(f"dimension {M} above enumeration cap {ENUMERATION_CAP}")
     ops = []
     for pairs in _pairings(tuple(range(M))):
         perm = np.arange(M)
@@ -214,22 +214,23 @@ def enumerate_antisymmetric(M: int, cap: int = ENUMERATION_CAP):
 
 
 def class_of(op: TimeReversalOp) -> ConjClass:
-    """Cycle type of a signed-permutation operation."""
-    if not op.is_signed_permutation:
+    """Cycle type of a signed-permutation operation, read from its block A:
+    the moved indices are those with a zero diagonal entry."""
+    a = np.abs(op.matrix())
+    if not (np.all((a == 0.0) | (a == 1.0)) and np.all(a.sum(axis=0) == 1.0)
+            and np.all(a.sum(axis=1) == 1.0)):
         raise ValueError("cycle type is defined for signed permutations only")
-    perm = op.perm
-    r2 = int(np.sum(perm != np.arange(op.dim))) // 2
+    r2 = (op.dim - int(np.count_nonzero(np.diag(a)))) // 2
     return ConjClass(op.dim - 2 * r2, r2)
 
 
-def enumeration_report(M: int, family: str = "binary",
-                       cap: int = ENUMERATION_CAP) -> EnumerationReport:
+def enumeration_report(M: int, family: str = "binary") -> EnumerationReport:
     """Enumerate and tally against the closed-form count."""
     if family == "binary":
-        ops = enumerate_binary(M, cap=cap)
+        ops = enumerate_binary(M)
         formula = count_binary(M)
     elif family == "antisymmetric":
-        ops = enumerate_antisymmetric(M, cap=cap)
+        ops = enumerate_antisymmetric(M)
         formula = count_antisymmetric(M)
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -126,14 +126,14 @@ def vector_potential(spec: FieldSpec, x) -> np.ndarray:
     return out
 
 
-def curl_fd(func, x, h: float = FD_STEP) -> np.ndarray:
+def curl_fd(func, x) -> np.ndarray:
     """Central finite-difference curl of a vector field at points (..., 3)."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros(x.shape[:-1] + (3, 3))  # grad[..., i, j] = d f_i / d x_j
     for j in range(3):
         dx = np.zeros(3)
-        dx[j] = h
-        grad[..., :, j] = (func(x + dx) - func(x - dx)) / (2.0 * h)
+        dx[j] = FD_STEP
+        grad[..., :, j] = (func(x + dx) - func(x - dx)) / (2.0 * FD_STEP)
     curl = np.zeros_like(x)
     curl[..., 0] = grad[..., 2, 1] - grad[..., 1, 2]
     curl[..., 1] = grad[..., 0, 2] - grad[..., 2, 0]
@@ -194,33 +194,34 @@ def _sample_points(samples: int, box: float, seed: int) -> np.ndarray:
     return rng.uniform(-box, box, size=(samples, 3))
 
 
-def check_B_compat(op, spec: FieldSpec, samples: int = DEFAULT_SAMPLES,
-                   tol: float = ANALYTIC_TOL, seed: int = 0) -> CompatReport:
+def check_B_compat(op, spec: FieldSpec, tol: float = ANALYTIC_TOL,
+                   seed: int = 0) -> CompatReport:
     """Residual of det(A) A B(A x) = -B(x) over random points of spec.box."""
     a, label = _validated_block(op)
-    pts = _sample_points(samples, spec.box, seed)
+    pts = _sample_points(DEFAULT_SAMPLES, spec.box, seed)
     det = float(np.linalg.det(a))
     lhs = det * (eval_field(spec, pts @ a.T) @ a.T)
     resid = float(np.max(np.abs(lhs + eval_field(spec, pts))))
-    return CompatReport(label, spec.label, "B-condition", resid, tol, samples)
+    return CompatReport(label, spec.label, "B-condition", resid, tol, DEFAULT_SAMPLES)
 
 
-def check_A_compat(op, spec: FieldSpec, samples: int = DEFAULT_SAMPLES,
-                   tol: float = CURL_TOL, seed: int = 0) -> CompatReport:
+def check_A_compat(op, spec: FieldSpec, seed: int = 0) -> CompatReport:
     """Curl residual of G(x) = A pot(A x) + pot(x) over random points of
     spec.box.
 
     G is a pure gauge gradient exactly when the vector-potential
-    compatibility condition holds, so compatibility means curl G = 0.
+    compatibility condition holds, so compatibility means curl G = 0 to
+    within CURL_TOL.
     """
     a, label = _validated_block(op)
-    pts = _sample_points(samples, spec.box, seed)
+    pts = _sample_points(DEFAULT_SAMPLES, spec.box, seed)
 
     def gauge_field(y):
         return vector_potential(spec, y @ a.T) @ a.T + vector_potential(spec, y)
 
     resid = float(np.max(np.abs(curl_fd(gauge_field, pts))))
-    return CompatReport(label, spec.label, "A-condition", resid, tol, samples)
+    return CompatReport(label, spec.label, "A-condition", resid, CURL_TOL,
+                        DEFAULT_SAMPLES)
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,9 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix with an optional parity under a time-reversal operator."""
+    """Hermitian matrix; its parity under a time reversal is detected on use."""
 
     matrix: np.ndarray
-    signature: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -184,21 +182,19 @@ def _correlator_in_basis(state: ThermalState, phi: np.ndarray, psi: np.ndarray,
     return totals.real, np.abs(totals.imag)
 
 
-def tr_commutes(system: SpinSystem, tr: SpinTimeReversal,
-                tol: float = COMMUTATION_TOL) -> bool:
+def tr_commutes(system: SpinSystem, tr: SpinTimeReversal) -> bool:
     """True iff T H T^-1 = H for the product operator T = U K."""
     if len(tr.site_ops) != system.n:
         raise ValueError("one site operator per spin is required")
     h = system.hamiltonian()
-    return bool(np.max(np.abs(tr.act(h) - h)) <= tol)
+    return bool(np.max(np.abs(tr.act(h) - h)) <= COMMUTATION_TOL)
 
 
-def detect_signature(tr: SpinTimeReversal, operator: np.ndarray,
-                     tol: float = SIGNATURE_TOL) -> int:
+def detect_signature(tr: SpinTimeReversal, operator: np.ndarray) -> int:
     """Parity eta with T O T^-1 = eta O; raises SignatureError if undefined."""
     transformed = tr.act(operator)
     for eta in (1, -1):
-        if np.max(np.abs(transformed - eta * operator)) <= tol:
+        if np.max(np.abs(transformed - eta * operator)) <= SIGNATURE_TOL:
             return eta
     raise SignatureError("observable has no definite time-reversal parity")
 
@@ -232,10 +228,8 @@ def verify_kubo_symmetry(system: SpinSystem, tr: SpinTimeReversal,
         raise ValueError("the time grid is empty")
     if not tr_commutes(system, tr):
         raise ValueError("time-reversal operator does not commute with H")
-    eta_phi = phi.signature if phi.signature is not None \
-        else detect_signature(tr, phi.matrix)
-    eta_psi = psi.signature if psi.signature is not None \
-        else detect_signature(tr, psi.matrix)
+    eta_phi = detect_signature(tr, phi.matrix)
+    eta_psi = detect_signature(tr, psi.matrix)
     # <phi(t); psi(0)> = <phi(0); psi(-t)> by stationarity
     value, imag = _correlator_in_basis(ThermalState.of(system, beta), phi.matrix,
                                        psi.matrix, np.concatenate([times, -times]))

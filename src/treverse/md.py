@@ -10,19 +10,19 @@ conjugacy check exercises.
 Each step evaluates the WCA forces once: the closing kick's forces are
 those of the positions the next step starts from, so they are carried in
 MDState and reused by the next opening kick.  The force kernel visits
-each i<j pair once and evaluates the potential only inside the cutoff; its
-result is bitwise equal to the dense all-pairs sum.
+each i<j pair of a Verlet neighbour list once and evaluates the potential
+only inside the cutoff; its result is bitwise equal to the dense all-pairs
+sum.
 
-The closing kick visits only the pairs of a Verlet neighbour list, also
-carried in MDState: the pairs within cutoff + skin at its build.  A pair
+The list holds the pairs within cutoff + skin at its build; step carries
+it in MDState, and a forces call without one builds a fresh list.  A pair
 outside that radius cannot reach the cutoff before one of its particles
 has moved skin/2, so the whole batch's list is rebuilt as soon as any
 particle's unwrapped position has moved more than skin/2 since the build.
 The list keeps the dense (trajectory, pair) row order and computes each
 listed displacement and r^2 with the dense kernel's elementwise
 operations, so filtering it by the cutoff yields exactly the rows, in the
-same order, that the dense kernel selects, and the forces are bitwise
-equal to the list-free ones.
+same order, that the dense kernel selects.
 
 The rotation writes out its cross products and |t|^2 per component, with
 the operations np.cross and np.sum perform in the same order, so it is
@@ -93,11 +93,12 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n", "dt", "steps", "n_trajectories", "mass", "box_half",
-                     "thermostat_interval"):
+                     "wca_sigma", "thermostat_interval"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.temperature >= 0.0:
-            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
+        for name in ("temperature", "equilibration"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         omega_c = abs(self.charge) * field_scale(self.field, self.box_half) / self.mass
         if self.dt * omega_c >= 0.2:
             raise ValueError(
@@ -208,18 +209,16 @@ def forces(pos: np.ndarray, cfg: SimConfig,
     leave it unchanged, so only pairs inside are evaluated.  Particle i gets
     the terms of its partners in ascending order, as the dense sum does:
     the -f terms of partners j < i come first in pair order, then the +f
-    terms of partners j > i, and bincount adds them in that order.  With a
-    neighbour list valid at pos, only the listed pairs are visited; they
-    yield the same close pairs in the same order.
+    terms of partners j > i, and bincount adds them in that order.  Only the
+    pairs of the neighbour list, which must be valid at pos, are visited;
+    they yield the dense sum's close pairs in the same order.  Without a
+    list a fresh one is built.
     """
     if not cfg.interacting or cfg.n == 1:
         return np.zeros_like(pos)
     if neighbours is None:
-        traj, i, j, d, r2 = _close_pairs(pos, cfg)
-        n = pos.shape[1]
-        a, b = traj * n + i, traj * n + j
-    else:
-        a, b, d, r2 = _listed_close_pairs(pos, cfg, neighbours)
+        neighbours = _neighbours(pos, cfg, None)
+    a, b, d, r2 = _listed_close_pairs(pos, cfg, neighbours)
     inv2 = cfg.wca_sigma ** 2 / r2
     inv6 = inv2 ** 3
     coef = 24.0 * cfg.wca_epsilon * (2.0 * inv6 * inv6 - inv6) * inv2 / cfg.wca_sigma ** 2

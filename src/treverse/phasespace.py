@@ -1,14 +1,15 @@
 """Linear phase-space maps and their defining checks.
 
 A candidate time-reversal operation is stored through its M x M coordinate
-block A; the induced map on phase space is (X, P) -> (A X, -A P).  Signed
-permutations keep a compressed integer representation so involution and
-orthogonality can be checked exactly.
+block A; the induced map on phase space is (X, P) -> (A X, -A P).  The
+involution and orthogonality checks compare A^2 and A A^T with the target
+in floating point, to within DEFAULT_TOL; for the signed permutations of
+the catalog both products are exact, so the verdicts are exact too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +51,10 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class TimeReversalOp:
-    """Coordinate block A of a candidate time-reversal map diag(A, -A).
-
-    Signed permutations additionally carry (perm, signs) with
-    A e_i = signs[i] e_perm[i]; those checks run in integer arithmetic.
-    """
+    """Coordinate block A of a candidate time-reversal map diag(A, -A)."""
 
     A: np.ndarray
     kind: str = KIND_GENERAL
-    perm: np.ndarray | None = field(default=None, compare=False)
-    signs: np.ndarray | None = field(default=None, compare=False)
     label: str = ""
 
     def __post_init__(self):
@@ -73,6 +68,7 @@ class TimeReversalOp:
     @classmethod
     def from_signed_permutation(cls, perm, signs, kind: str = KIND_BINARY,
                                 label: str = "") -> "TimeReversalOp":
+        """The integer block with A e_i = signs[i] e_perm[i]."""
         perm = np.asarray(perm, dtype=int)
         signs = np.asarray(signs, dtype=int)
         m = perm.shape[0]
@@ -82,15 +78,11 @@ class TimeReversalOp:
             raise ValueError("signs must be +-1 of length M")
         A = np.zeros((m, m), dtype=int)
         A[perm, np.arange(m)] = signs
-        return cls(A=A, kind=kind, perm=perm, signs=signs, label=label)
+        return cls(A=A, kind=kind, label=label)
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def is_signed_permutation(self) -> bool:
-        return self.perm is not None
 
     def matrix(self, dtype=float) -> np.ndarray:
         return self.A.astype(dtype)
@@ -119,26 +111,17 @@ class TimeReversalOp:
         return f"TimeReversalOp({tag})"
 
 
-def is_involution(op: TimeReversalOp, tol: float = DEFAULT_TOL) -> bool:
+def is_involution(op: TimeReversalOp) -> bool:
     """True iff A^2 = I (or A^2 = -I for the antisymmetric quantum family)."""
-    if op.is_signed_permutation:
-        a = op.A.astype(np.int64)
-        sq = a @ a
-        target = -np.eye(op.dim, dtype=np.int64) if op.kind == KIND_ANTISYMMETRIC \
-            else np.eye(op.dim, dtype=np.int64)
-        return bool(np.array_equal(sq, target))
     a = op.matrix()
-    sq = a @ a
     target = -np.eye(op.dim) if op.kind == KIND_ANTISYMMETRIC else np.eye(op.dim)
-    return bool(np.max(np.abs(sq - target)) <= tol)
+    return bool(np.max(np.abs(a @ a - target), initial=0.0) <= DEFAULT_TOL)
 
 
-def is_orthogonal(op: TimeReversalOp, tol: float = DEFAULT_TOL) -> bool:
-    if op.is_signed_permutation:
-        a = op.A.astype(np.int64)
-        return bool(np.array_equal(a @ a.T, np.eye(op.dim, dtype=np.int64)))
+def is_orthogonal(op: TimeReversalOp) -> bool:
+    """True iff A A^T = I."""
     a = op.matrix()
-    return bool(np.max(np.abs(a @ a.T - np.eye(op.dim))) <= tol)
+    return bool(np.max(np.abs(a @ a.T - np.eye(op.dim)), initial=0.0) <= DEFAULT_TOL)
 
 
 def antisymplectic_residual(P: np.ndarray) -> float:

@@ -50,32 +50,32 @@ def _require_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return U
 
 
-def check_su2_preservation(U, conjugate_flag: bool = True,
-                           tol: float = 1e-12) -> bool:
+def check_su2_preservation(U) -> bool:
     """Whether X -> U K X K U^-1 maps the Pauli commutators consistently.
 
     The check is bracket functoriality of the transformed triple:
-    [T s_j T^-1, T s_k T^-1] = T [s_j, s_k] T^-1 for all pairs.
+    [T s_j T^-1, T s_k T^-1] = T [s_j, s_k] T^-1 for all pairs.  Conjugation
+    by a unitary preserves every bracket, so this holds for each U that
+    _require_unitary accepts: it cannot tell candidates apart, and the
+    validity of a catalog entry rests on its t_squared alone.
     """
     U = _require_unitary(U)
 
     def t(x):
-        y = x.conj() if conjugate_flag else x
-        return U @ y @ U.conj().T
+        return U @ x.conj() @ U.conj().T
 
     for j in range(3):
         for k in range(3):
             sj, sk = pauli(_AXES[j]), pauli(_AXES[k])
             lhs = t(sj) @ t(sk) - t(sk) @ t(sj)
             rhs = t(sj @ sk - sk @ sj)
-            if np.max(np.abs(lhs - rhs)) > tol:
+            if np.max(np.abs(lhs - rhs)) > 1e-12:
                 return False
     return True
 
 
 @dataclass(frozen=True)
 class SpinTRVerdict:
-    operator_id: str
     preserves_su2: bool
     t_squared: int | None      # +1, -1, or None when U K U K is not +-I
 
@@ -122,8 +122,7 @@ def catalog_spin_ops() -> list[SpinCatalogEntry]:
     ]
     out = []
     for label, mat in raw:
-        verdict = SpinTRVerdict(label, check_su2_preservation(mat, True),
-                                t_squared_sign(mat))
+        verdict = SpinTRVerdict(check_su2_preservation(mat), t_squared_sign(mat))
         out.append(SpinCatalogEntry(label, mat, verdict))
     return out
 
@@ -179,10 +178,9 @@ def spin_lift(block) -> np.ndarray:
     return so3_to_su2(p) @ pauli("y")
 
 
-def spin_coupling_residual(block, U_s, spec: FieldSpec, samples: int = 100,
-                           seed: int = 0) -> float:
+def spin_coupling_residual(block, U_s, spec: FieldSpec, seed: int = 0) -> float:
     """Max deviation of U_s K (sigma . B)(M x) K U_s^-1 from (sigma . B)(x)
-    over random points of spec.box.
+    over 100 random points of spec.box.
 
     At most 1e-10 for lifts of blocks that satisfy the field compatibility
     condition; of order |B| otherwise, e.g. for the identity block with
@@ -190,7 +188,7 @@ def spin_coupling_residual(block, U_s, spec: FieldSpec, samples: int = 100,
     """
     m, _ = _validated_block(block)
     U_s = _require_unitary(U_s)
-    pts = _sample_points(samples, spec.box, seed)
+    pts = _sample_points(100, spec.box, seed)
     sig = pauli_vector()
     b_here = eval_field(spec, pts)
     b_there = eval_field(spec, pts @ m.T)

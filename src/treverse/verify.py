@@ -76,7 +76,7 @@ def check_structural(seed: int) -> dict:
     ok = True
     worst_sympl = 0.0
     worst_roundtrip = 0.0
-    ops = en.enumerate_binary(3) + en.enumerate_binary(4, cap=8)
+    ops = en.enumerate_binary(3) + en.enumerate_binary(4)
     points_per_op = max(1, 10_000 // len(ops) + 1)
     for op in ops:
         ok = ok and is_involution(op) and is_orthogonal(op)
@@ -117,16 +117,13 @@ def check_compat_equivalence(seed: int) -> dict:
 
 
 def check_spin_lift(seed: int) -> dict:
-    catalog = en.single_particle_catalog()
     ok = True
     worst = 0.0
     lifted = 0
     for spec in fl.builtin_fields().values():
-        for op in catalog:
-            if not fl.check_B_compat(op, spec, seed=seed).verdict:
-                continue
+        for op in fl.find_compatible(spec, seed=seed).ops:
             us = sp.spin_lift(op)
-            resid = sp.spin_coupling_residual(op, us, spec, samples=100, seed=seed)
+            resid = sp.spin_coupling_residual(op, us, spec, seed=seed)
             worst = max(worst, resid)
             lifted += 1
             ok = ok and resid <= 1e-10
@@ -145,19 +142,19 @@ def check_spin_lift(seed: int) -> dict:
 
 
 @functools.cache
-def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]; read-only, since every caller shares them."""
-    nodes = np.polynomial.legendre.leggauss(npts)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 128 nodes and weights on [-1, 1]; read-only, since every caller shares them."""
+    nodes = np.polynomial.legendre.leggauss(128)
     for a in nodes:
         a.flags.writeable = False
     return nodes
 
 
-def _kubo_quadrature(system, beta, phi, psi, t, npts=128):
+def _kubo_quadrature(system, beta, phi, psi, t):
     h = system.hamiltonian()
     shift = float(np.linalg.norm(h, 2))
     hs = h - shift * np.eye(h.shape[0])
-    x, w = _gauss_legendre(npts)
+    x, w = _gauss_legendre()
     lam = 0.5 * beta * (x + 1.0)
     wl = 0.5 * beta * w
     left = _expm(-(beta - lam)[:, None, None] * hs)

@@ -284,6 +284,9 @@ def sim_text(**entries):
     (dict(thermostat_interval=0, equilibration=10), "thermostat_interval"),
     (dict(box_half=0, field="axial:1,0.1"), "box_half"),
     (dict(temperature=-1), "temperature"),
+    (dict(wca_sigma=0), "wca_sigma"),
+    (dict(wca_sigma=-1), "wca_sigma"),
+    (dict(equilibration=-5), "equilibration"),
 ])
 def test_simulate_rejects_non_physical_config(tmp_path, capsys, entries, name):
     config = tmp_path / "sim.txt"

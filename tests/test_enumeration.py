@@ -20,7 +20,14 @@ from treverse.enumeration import (
     enumeration_report,
     single_particle_catalog,
 )
-from treverse.phasespace import antisymplectic_residual, is_involution, is_orthogonal
+from treverse.fields import continuous_family
+from treverse.phasespace import (
+    KIND_BINARY,
+    TimeReversalOp,
+    antisymplectic_residual,
+    is_involution,
+    is_orthogonal,
+)
 
 
 def all_signed_permutation_matrices(m):
@@ -117,6 +124,13 @@ def test_enumerate_binary_m2_classes():
     assert split == {(2, 0): 4, (0, 1): 2}
 
 
+def test_class_of_rejects_non_signed_permutations():
+    with pytest.raises(ValueError, match="signed permutations only"):
+        class_of(continuous_family(0.3))
+    with pytest.raises(ValueError, match="signed permutations only"):
+        class_of(TimeReversalOp(np.array([[1, 1], [0, 1]])))
+
+
 def test_enumerate_binary_m3_catalog():
     ops = enumerate_binary(3)
     assert len(ops) == 20
@@ -167,12 +181,8 @@ def test_enumerate_antisymmetric_structure():
 
 
 def test_antisymmetric_fails_binary_involution():
-    from treverse.phasespace import KIND_BINARY, TimeReversalOp
-
     for op in enumerate_antisymmetric(2):
-        rebadged = TimeReversalOp.from_signed_permutation(op.perm, op.signs,
-                                                          kind=KIND_BINARY)
-        assert not is_involution(rebadged)
+        assert not is_involution(TimeReversalOp(op.A, kind=KIND_BINARY))
 
 
 def test_enumerate_antisymmetric_odd_rejected():

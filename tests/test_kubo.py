@@ -298,8 +298,8 @@ def test_tr_commutes_zero_field_catalog():
 def test_symmetry_two_spin_reference():
     system = two_spin_reference()
     tr = SpinTimeReversal((pauli("x"), pauli("x")))
-    phi = Observable(site_operator(pauli("x"), 0, 2), label="sx@0")
-    psi = Observable(site_operator(pauli("x"), 1, 2), label="sx@1")
+    phi = Observable(site_operator(pauli("x"), 0, 2))
+    psi = Observable(site_operator(pauli("x"), 1, 2))
     report = verify_kubo_symmetry(system, tr, phi, psi,
                                   np.linspace(0.0, 10.0, 16), beta=1.3, tol=1e-8)
     assert report.eta_phi == 1 and report.eta_psi == 1

@@ -255,8 +255,7 @@ def test_neighbour_list_step_bitwise_equals_list_free(monkeypatch, cfg):
     steps = 3000
     listed, rebuilds = _rebuilds(init_state(cfg), cfg, steps)
     assert rebuilds > 1
-    dense = md.forces
-    monkeypatch.setattr(md, "forces", lambda pos, c, neighbours=None: dense(pos, c))
+    monkeypatch.setattr(md, "forces", lambda pos, c, neighbours=None: dense_forces(pos, c))
     free, _ = _rebuilds(init_state(cfg), cfg, steps)
     for name in ("pos", "vel", "force"):
         assert getattr(listed, name).tobytes() == getattr(free, name).tobytes()
@@ -719,8 +718,7 @@ def pairwise_forced_zero_pairs(spec):
     """The search forced_zero_pairs replaced: two compatible operations acting
     identically on one velocity slot and with opposite signs (same image
     component) on the other pin the correlator to minus itself."""
-    ops = [op for op in find_compatible(spec).ops if op.is_signed_permutation]
-    blocks = [op.A.astype(float) for op in ops]
+    blocks = [op.A.astype(float) for op in find_compatible(spec).ops]
     forced = set()
     for ai in range(3):
         for bi in range(3):

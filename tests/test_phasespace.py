@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from treverse.phasespace import (
     KIND_ANTISYMMETRIC,
+    KIND_BINARY,
     PhasePoint,
     TimeReversalOp,
     angular_momentum,
@@ -163,6 +166,43 @@ def test_reversal_cross_particle_swap_counterexample():
     gamma = verdict.counterexample
     got = angular_momentum(apply(op, gamma))
     assert np.max(np.abs(got + angular_momentum(gamma))) > 1e-6
+
+
+def integer_is_involution(op):
+    # the int64 branch is_involution had for signed permutations, kept as its oracle
+    a = op.A.astype(np.int64)
+    target = np.eye(op.dim, dtype=np.int64)
+    if op.kind == KIND_ANTISYMMETRIC:
+        target = -target
+    return bool(np.array_equal(a @ a, target))
+
+
+def integer_is_orthogonal(op):
+    # the int64 branch is_orthogonal had for signed permutations, kept as its oracle
+    a = op.A.astype(np.int64)
+    return bool(np.array_equal(a @ a.T, np.eye(op.dim, dtype=np.int64)))
+
+
+def test_float_checks_match_integer_oracle():
+    blocks = [TimeReversalOp.from_signed_permutation(perm, signs).A
+              for m in range(1, 6)
+              for perm in itertools.permutations(range(m))
+              for signs in itertools.product((1, -1), repeat=m)]
+    assert len(blocks) == 4282
+    # every 2x2 block with entries in {0, +-1}: most are not orthogonal
+    blocks += [np.array(v).reshape(2, 2) for v in itertools.product((0, 1, -1), repeat=4)]
+    blocks += [np.zeros((0, 0), dtype=int)]
+    involution_seen, orthogonal_seen = set(), set()
+    for a in blocks:
+        for kind in (KIND_BINARY, KIND_ANTISYMMETRIC):
+            op = TimeReversalOp(a, kind=kind)
+            involution, orthogonal = integer_is_involution(op), integer_is_orthogonal(op)
+            assert is_involution(op) == involution
+            assert is_orthogonal(op) == orthogonal
+            involution_seen.add((kind, involution))
+            orthogonal_seen.add((kind, orthogonal))
+    both = set(itertools.product((KIND_BINARY, KIND_ANTISYMMETRIC), (True, False)))
+    assert involution_seen == both and orthogonal_seen == both
 
 
 def test_signed_permutation_storage_roundtrip():
