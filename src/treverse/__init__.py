@@ -39,7 +39,6 @@ from .fields import (
 )
 from .spin import (
     catalog_spin_ops,
-    check_su2_preservation,
     pauli,
     so3_to_su2,
     spin_lift,

@@ -174,7 +174,7 @@ def parse_system_file(text: str) -> kb.SpinSystem:
     fields_rows = []
     couplings = []
     exchange = {}
-    for key, value in _read_entries(text, {"site", "exchange", "n"}):
+    for key, value in _read_entries(text, {"site", "exchange"}):
         parts = value.split()
         if key == "site":
             if len(parts) not in (3, 4):
@@ -186,7 +186,6 @@ def parse_system_file(text: str) -> kb.SpinSystem:
                 raise ValueError("exchange lines need 'j k J'")
             j, k, coupling = int(parts[0]), int(parts[1]), float(parts[2])
             exchange[(min(j, k), max(j, k))] = coupling
-        # 'n' is accepted and ignored: the site count is implied by the site lines
     if not fields_rows:
         raise ValueError("system file has no site entries")
     return kb.SpinSystem(np.asarray(fields_rows), np.asarray(couplings), exchange)
@@ -198,10 +197,6 @@ def _load_field(args) -> fl.FieldSpec:
     if Path(args.field).is_file():
         return parse_field_file(Path(args.field).read_text())
     return fl.parse_field(args.field)
-
-
-def _matrix_rows(op: TimeReversalOp) -> list:
-    return _native(op.matrix())
 
 
 def cmd_count(args) -> int:
@@ -231,7 +226,7 @@ def cmd_enumerate(args) -> int:
             "match": report.match,
             "class_counts": [{"r1": k[0], "r2": k[1], "count": v}
                              for k, v in report.class_counts],
-            "ops": [{"label": op.label, "matrix": _matrix_rows(op)} for op in report.ops],
+            "ops": [{"label": op.label, "matrix": op.matrix()} for op in report.ops],
         }
     _emit(payload, args.format, args.out, f"enumerate-{args.family}-{args.dim}")
     return EXIT_OK if report.match else EXIT_VERIFICATION
@@ -264,7 +259,7 @@ def cmd_find_symmetries(args) -> int:
     result = fl.find_compatible(spec, seed=args.seed)
     payload = {
         "field": spec.label,
-        "compatible": [{"label": op.label, "matrix": _matrix_rows(op)}
+        "compatible": [{"label": op.label, "matrix": op.matrix()}
                        for op in result.ops],
         "count": len(result.ops),
         "continuous_family_applies": result.continuous_family_applies,
@@ -281,8 +276,7 @@ def cmd_spin_ops(args) -> int:
             "matrix_re": _native(entry.matrix.real),
             "matrix_im": _native(entry.matrix.imag),
             "valid": entry.valid,
-            "preserves_su2": entry.verdict.preserves_su2,
-            "t_squared": entry.verdict.t_squared,
+            "t_squared": entry.t_squared,
         })
     _emit(payload, "json", args.out, "spin-ops")
     return EXIT_OK

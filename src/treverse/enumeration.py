@@ -146,46 +146,44 @@ def _pairings(indices):
             yield (pair,) + tail
 
 
-def _involutions_with_cycle_type(M, r2):
-    """Involutive permutations of 0..M-1 having exactly r2 transpositions."""
-    indices = tuple(range(M))
-    for moved in itertools.combinations(indices, 2 * r2):
+def _signed_involutions(M, r2, kind):
+    """The signed involutions of 0..M-1 with r2 transpositions, sorted by A.
+
+    A binary op carries one sign per cycle: fixed points individually,
+    pairs jointly.  An antisymmetric op (r2 = M/2) has column i carry s at
+    row j and column j carry -s at row i.
+    """
+    pair_sign = 1 if kind == KIND_BINARY else -1
+    ops = []
+    for moved in itertools.combinations(range(M), 2 * r2):
         for pairs in _pairings(moved):
             perm = np.arange(M)
             for i, j in pairs:
                 perm[i], perm[j] = j, i
-            yield perm, pairs
+            fixed = [i for i in range(M) if perm[i] == i]
+            for cycle_signs in itertools.product((1, -1), repeat=len(fixed) + r2):
+                signs = np.ones(M, dtype=int)
+                for i, s in zip(fixed, cycle_signs):
+                    signs[i] = s
+                for (i, j), s in zip(pairs, cycle_signs[len(fixed):]):
+                    signs[i] = s
+                    signs[j] = pair_sign * s
+                ops.append(TimeReversalOp.from_signed_permutation(
+                    perm, signs, kind=kind, label=_op_label(perm, signs)))
+    ops.sort(key=lambda op: op.A.flatten().tolist())
+    return ops
 
 
 def enumerate_binary(M: int):
-    """Every orthogonal involutory signed permutation of dimension M.
-
-    Each operation is tagged with its cycle type; cycles carry one shared
-    sign, so a class (r1, r2) contributes class_size * 2**(r1 + r2) matrices.
-    """
+    """Every orthogonal involutory signed permutation of dimension M, class
+    by class (r2 ascending); a class (r1, r2) contributes
+    class_size * 2**(r1 + r2) matrices."""
     if M < 1:
         raise ValueError("dimension must be at least 1")
     if M > ENUMERATION_CAP:
         raise CapExceeded(f"dimension {M} above enumeration cap {ENUMERATION_CAP}")
-    ops = []
-    for r2 in range(M // 2 + 1):
-        c = ConjClass(M - 2 * r2, r2)
-        for perm, pairs in _involutions_with_cycle_type(M, r2):
-            fixed = [i for i in range(M) if perm[i] == i]
-            # one sign per cycle: fixed points individually, pairs jointly
-            for fixed_signs in itertools.product((1, -1), repeat=len(fixed)):
-                for pair_signs in itertools.product((1, -1), repeat=len(pairs)):
-                    signs = np.ones(M, dtype=int)
-                    for i, s in zip(fixed, fixed_signs):
-                        signs[i] = s
-                    for (i, j), s in zip(pairs, pair_signs):
-                        signs[i] = s
-                        signs[j] = s
-                    op = TimeReversalOp.from_signed_permutation(
-                        perm, signs, kind=KIND_BINARY, label=_op_label(perm, signs))
-                    ops.append((c, op))
-    ops.sort(key=lambda item: (item[0].r2, item[1].A.flatten().tolist()))
-    return [op for _, op in ops]
+    return [op for r2 in range(M // 2 + 1)
+            for op in _signed_involutions(M, r2, KIND_BINARY)]
 
 
 def enumerate_antisymmetric(M: int):
@@ -195,22 +193,7 @@ def enumerate_antisymmetric(M: int):
             f"no real antisymmetric orthogonal block with square -I in dimension {M}")
     if M > ENUMERATION_CAP:
         raise CapExceeded(f"dimension {M} above enumeration cap {ENUMERATION_CAP}")
-    ops = []
-    for pairs in _pairings(tuple(range(M))):
-        perm = np.arange(M)
-        for i, j in pairs:
-            perm[i], perm[j] = j, i
-        for pair_signs in itertools.product((1, -1), repeat=len(pairs)):
-            signs = np.ones(M, dtype=int)
-            for (i, j), s in zip(pairs, pair_signs):
-                # column i carries s at row j, column j carries -s at row i
-                signs[i] = s
-                signs[j] = -s
-            op = TimeReversalOp.from_signed_permutation(
-                perm, signs, kind=KIND_ANTISYMMETRIC, label=_op_label(perm, signs))
-            ops.append(op)
-    ops.sort(key=lambda op: op.A.flatten().tolist())
-    return ops
+    return _signed_involutions(M, M // 2, KIND_ANTISYMMETRIC)
 
 
 def class_of(op: TimeReversalOp) -> ConjClass:

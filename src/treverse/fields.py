@@ -228,7 +228,6 @@ def check_A_compat(op, spec: FieldSpec, seed: int = 0) -> CompatReport:
 class FieldSymmetries:
     """Catalog operations compatible with a field, plus the continuous family flag."""
 
-    field_label: str
     ops: tuple
     continuous_family_applies: bool
 
@@ -248,7 +247,16 @@ def find_compatible(spec: FieldSpec, seed: int = 0) -> FieldSymmetries:
         continuous = bool(spec.b[0] == 0.0 and spec.b[1] == 0.0)
     else:
         continuous = spec.family == FAMILY_AXIAL
-    return FieldSymmetries(spec.label, ops, continuous)
+    return FieldSymmetries(ops, continuous)
+
+
+def flip_field(spec: FieldSpec) -> FieldSpec:
+    """The spec with B -> -B."""
+    if spec.family == FAMILY_CONSTANT:
+        return FieldSpec.constant(-spec.b, label=f"-({spec.label})")
+    if spec.family == FAMILY_AXIAL:
+        return FieldSpec.axial(-spec.coeffs, label=f"-({spec.label})")
+    return FieldSpec.planar(-spec.cmat, label=f"-({spec.label})")
 
 
 def field_scale(spec: FieldSpec, box: float = DEFAULT_BOX) -> float:

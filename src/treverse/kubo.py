@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin import pauli_vector
+from .spin import antiunitary_act, pauli_vector
 
 MAX_SITES = 6
 HERMITICITY_TOL = 1e-13
@@ -140,8 +140,7 @@ class SpinTimeReversal:
 
     def act(self, operator: np.ndarray) -> np.ndarray:
         """T O T^-1 with T = U K."""
-        u = self.unitary()
-        return u @ np.asarray(operator, dtype=complex).conj() @ u.conj().T
+        return antiunitary_act(self.unitary(), np.asarray(operator, dtype=complex))
 
 
 class CorrelatorValue(NamedTuple):

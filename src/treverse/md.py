@@ -52,11 +52,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FAMILY_CONSTANT, FieldSpec, eval_field, field_scale, find_compatible
+from .fields import FAMILY_CONSTANT, FieldSpec, _validated_block, eval_field, field_scale, \
+    find_compatible, flip_field
 from .phasespace import PhasePoint, TimeReversalOp, symmetry_constraints
 
 WCA_CUTOFF = 2.0 ** (1.0 / 6.0)
 COMPONENTS = "xyz"
+# the statistical gates pass a deviation of at most this many standard errors
+SIGMA_GATE = 3.0
 # Verlet-list skin in units of wca_sigma: at the criterion-7 density about
 # 7% of the pairs are listed, and a list lasts about 20 steps
 _SKIN = 0.3
@@ -573,7 +576,7 @@ class AntisymmetryVerdict:
 
     @property
     def passed(self) -> bool:
-        return abs(self.value) <= 3.0 * self.se
+        return abs(self.value) <= SIGMA_GATE * self.se
 
 
 def antisymmetry_check(tensor: DiffusionTensor) -> AntisymmetryVerdict:
@@ -619,15 +622,6 @@ def diffusion_check(cfg: SimConfig, max_lag: float, stride: int,
     return DiffusionReport(corr, tensor, antisymmetry_check(tensor))
 
 
-def flip_field(spec: FieldSpec) -> FieldSpec:
-    """The spec with B -> -B."""
-    if spec.family == "constant":
-        return FieldSpec.constant(-spec.b, label=f"-({spec.label})")
-    if spec.family == "axial":
-        return FieldSpec.axial(-spec.coeffs, label=f"-({spec.label})")
-    return FieldSpec.planar(-spec.cmat, label=f"-({spec.label})")
-
-
 def _sigma(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
     """diff / se per lag, 0 where diff is exactly 0 (also where se is 0)."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -647,7 +641,7 @@ class CasimirReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_sigma <= 3.0
+        return self.max_sigma <= SIGMA_GATE
 
 
 def casimir_check(cfg: SimConfig, pairs, max_lag: float,
@@ -681,7 +675,7 @@ class VanishingReport:
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.max_sigma_per_pair <= 3.0))
+        return bool(np.all(self.max_sigma_per_pair <= SIGMA_GATE))
 
 
 def vanishing_correlator_check(cfg: SimConfig, max_lag: float,
@@ -722,13 +716,12 @@ def conjugacy_check(op: TimeReversalOp, gamma0: PhasePoint, n_steps: int,
 
     For an operation whose per-particle block satisfies the field
     compatibility condition the deviation sits at roundoff; incompatible
-    blocks (e.g. the identity) give order-one deviations.
+    blocks (e.g. the identity) give order-one deviations.  A block that is
+    not an orthogonal involution raises InvalidOperation.
     """
-    block = op.per_particle_block() if op.dim == 3 * cfg.n else None
-    if block is None and op.dim == 3:
-        block = op.matrix()
-    if block is None:
+    if op.dim not in (3, 3 * cfg.n):
         raise ValueError("operation must act as a common per-particle block")
+    block, _ = _validated_block(op)
     state = state_from_phasepoint(gamma0, cfg)
     for _ in range(n_steps):
         state = step(state, cfg)

@@ -50,45 +50,20 @@ def _require_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return U
 
 
-def check_su2_preservation(U) -> bool:
-    """Whether X -> U K X K U^-1 maps the Pauli commutators consistently.
-
-    The check is bracket functoriality of the transformed triple:
-    [T s_j T^-1, T s_k T^-1] = T [s_j, s_k] T^-1 for all pairs.  Conjugation
-    by a unitary preserves every bracket, so this holds for each U that
-    _require_unitary accepts: it cannot tell candidates apart, and the
-    validity of a catalog entry rests on its t_squared alone.
-    """
-    U = _require_unitary(U)
-
-    def t(x):
-        return U @ x.conj() @ U.conj().T
-
-    for j in range(3):
-        for k in range(3):
-            sj, sk = pauli(_AXES[j]), pauli(_AXES[k])
-            lhs = t(sj) @ t(sk) - t(sk) @ t(sj)
-            rhs = t(sj @ sk - sk @ sj)
-            if np.max(np.abs(lhs - rhs)) > 1e-12:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class SpinTRVerdict:
-    preserves_su2: bool
-    t_squared: int | None      # +1, -1, or None when U K U K is not +-I
+def antiunitary_act(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U K X K U^-1 = U conj(X) U^dagger, the action of the antiunitary U K on X."""
+    return u @ x.conj() @ u.conj().T
 
 
 @dataclass(frozen=True)
 class SpinCatalogEntry:
     label: str
     matrix: np.ndarray
-    verdict: SpinTRVerdict
+    t_squared: int | None      # +1, -1, or None when U K U K is not +-I
 
     @property
     def valid(self) -> bool:
-        return self.verdict.t_squared is not None
+        return self.t_squared is not None
 
 
 def t_squared_sign(U) -> int | None:
@@ -120,11 +95,7 @@ def catalog_spin_ops() -> list[SpinCatalogEntry]:
         ("exchange-yz-flip-x", THETA * (sy + sz)),
         ("exchange-xz-fix-y", THETA * (sy + 1j * eye)),
     ]
-    out = []
-    for label, mat in raw:
-        verdict = SpinTRVerdict(check_su2_preservation(mat), t_squared_sign(mat))
-        out.append(SpinCatalogEntry(label, mat, verdict))
-    return out
+    return [SpinCatalogEntry(label, mat, t_squared_sign(mat)) for label, mat in raw]
 
 
 def _quaternion_from_rotation(P: np.ndarray) -> tuple[float, np.ndarray]:
@@ -196,6 +167,6 @@ def spin_coupling_residual(block, U_s, spec: FieldSpec, seed: int = 0) -> float:
     for bh, bt in zip(b_here, b_there):
         s_here = np.tensordot(bh, sig, axes=(0, 0))
         s_there = np.tensordot(bt, sig, axes=(0, 0))
-        lhs = U_s @ s_there.conj() @ U_s.conj().T
+        lhs = antiunitary_act(U_s, s_there)
         worst = max(worst, float(np.max(np.abs(lhs - s_here))))
     return worst

@@ -131,6 +131,8 @@ def test_spin_ops_catalog(capsys):
     payload = json.loads(out)
     assert len(payload) == 9
     assert sum(1 for e in payload if e["valid"]) == 6
+    assert all(e.keys() == {"label", "matrix_re", "matrix_im", "valid", "t_squared"}
+               for e in payload)
     by_label = {e["label"]: e for e in payload}
     assert by_label["sigma_y"]["t_squared"] == -1
 
@@ -202,6 +204,16 @@ def test_kubo_rejects_bad_site_and_empty_grid(tmp_path, capsys, flags, message):
                              capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_kubo_rejects_a_site_count_key(tmp_path, capsys):
+    # the site count is the number of site lines; an 'n' entry is not read
+    system = tmp_path / "system.txt"
+    system.write_text("n = 2\n" + TWO_SPIN_SYSTEM)
+    code, out, err = run_cli(["kubo", "--system", str(system), "--phi", "sigma:x:0",
+                              "--psi", "sigma:x:1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown key 'n'")
 
 
 def test_kubo_noncommuting_tr_is_error(tmp_path, capsys):

@@ -20,8 +20,10 @@ from treverse.enumeration import (
     enumeration_report,
     single_particle_catalog,
 )
+from treverse.enumeration import _op_label, _pairings
 from treverse.fields import continuous_family
 from treverse.phasespace import (
+    KIND_ANTISYMMETRIC,
     KIND_BINARY,
     TimeReversalOp,
     antisymplectic_residual,
@@ -106,6 +108,67 @@ def test_class_size_against_permutation_brute_force():
     assert counts[0] == class_size(ConjClass(4, 0))
     assert counts[1] == class_size(ConjClass(2, 1))
     assert counts[2] == class_size(ConjClass(0, 2))
+
+
+def _oracle_involutions(m, r2):
+    indices = tuple(range(m))
+    for moved in itertools.combinations(indices, 2 * r2):
+        for pairs in _pairings(moved):
+            perm = np.arange(m)
+            for i, j in pairs:
+                perm[i], perm[j] = j, i
+            yield perm, pairs
+
+
+def oracle_binary(m):
+    """The two-loop binary enumeration that the shared generator replaced."""
+    ops = []
+    for r2 in range(m // 2 + 1):
+        for perm, pairs in _oracle_involutions(m, r2):
+            fixed = [i for i in range(m) if perm[i] == i]
+            for fixed_signs in itertools.product((1, -1), repeat=len(fixed)):
+                for pair_signs in itertools.product((1, -1), repeat=len(pairs)):
+                    signs = np.ones(m, dtype=int)
+                    for i, s in zip(fixed, fixed_signs):
+                        signs[i] = s
+                    for (i, j), s in zip(pairs, pair_signs):
+                        signs[i] = s
+                        signs[j] = s
+                    op = TimeReversalOp.from_signed_permutation(
+                        perm, signs, kind=KIND_BINARY, label=_op_label(perm, signs))
+                    ops.append((r2, op))
+    ops.sort(key=lambda item: (item[0], item[1].A.flatten().tolist()))
+    return [op for _, op in ops]
+
+
+def oracle_antisymmetric(m):
+    """The tiling enumeration that the shared generator replaced."""
+    ops = []
+    for pairs in _pairings(tuple(range(m))):
+        perm = np.arange(m)
+        for i, j in pairs:
+            perm[i], perm[j] = j, i
+        for pair_signs in itertools.product((1, -1), repeat=len(pairs)):
+            signs = np.ones(m, dtype=int)
+            for (i, j), s in zip(pairs, pair_signs):
+                signs[i] = s
+                signs[j] = -s
+            ops.append(TimeReversalOp.from_signed_permutation(
+                perm, signs, kind=KIND_ANTISYMMETRIC, label=_op_label(perm, signs)))
+    ops.sort(key=lambda op: op.A.flatten().tolist())
+    return ops
+
+
+def _fingerprint(ops):
+    return [(op.A.dtype.str, op.A.tobytes(), op.kind, op.label) for op in ops]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_enumeration_matches_the_two_loop_oracle(m):
+    assert _fingerprint(enumerate_binary(m)) == _fingerprint(oracle_binary(m))
+    if m % 2 == 0:
+        assert _fingerprint(enumerate_antisymmetric(m)) == \
+            _fingerprint(oracle_antisymmetric(m))
 
 
 def test_enumerate_binary_m1():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from treverse.cli import parse_sim_config
-from treverse.fields import FieldSpec, builtin_fields, eval_field, find_compatible
+from treverse.fields import (
+    FieldSpec, InvalidOperation, builtin_fields, eval_field, find_compatible, flip_field,
+)
 from treverse.md import (
     CorrelatorEstimate,
     MDState,
@@ -19,7 +21,6 @@ from treverse.md import (
     diffusion_tensor,
     energy,
     equilibrate,
-    flip_field,
     forced_zero_pairs,
     forces,
     init_state,
@@ -385,6 +386,20 @@ def test_conjugacy_requires_common_block():
     gamma = PhasePoint(np.arange(6.0), np.ones(6))
     with pytest.raises(ValueError):
         conjugacy_check(cross, gamma, 10, cfg)
+
+
+def test_conjugacy_rejects_a_block_that_is_not_an_orthogonal_involution():
+    cfg = free_config(steps=1)
+    gamma = PhasePoint([0.3, -0.2, 0.5], [1.0, 0.4, -0.3])
+    with pytest.raises(InvalidOperation):
+        conjugacy_check(TimeReversalOp(np.diag([2.0, 1.0, 1.0])), gamma, 10, cfg)
+
+
+def test_conjugacy_rejects_an_op_of_neither_one_nor_every_particle():
+    cfg = SimConfig(n=16, field=CONST_Z, dt=0.02, steps=1)
+    gamma = PhasePoint(np.arange(48.0), np.ones(48))
+    with pytest.raises(ValueError, match="common per-particle block"):
+        conjugacy_check(TimeReversalOp(np.eye(6)), gamma, 10, cfg)
 
 
 def test_correlator_against_cyclotron_oracle_small():

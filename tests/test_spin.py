@@ -4,8 +4,8 @@ import pytest
 from treverse.fields import FieldSpec, builtin_fields, check_B_compat, continuous_family
 from treverse.enumeration import single_particle_catalog
 from treverse.spin import (
+    antiunitary_act,
     catalog_spin_ops,
-    check_su2_preservation,
     pauli,
     pauli_vector,
     so3_to_su2,
@@ -67,9 +67,10 @@ def test_pauli_bad_axis():
         pauli("w")
 
 
-def test_su2_preservation_with_conjugation():
-    assert check_su2_preservation(np.eye(2))
-    assert check_su2_preservation(SY)
+def test_antiunitary_act_of_sigma_y_reverses_every_spin():
+    for s in (SX, SY, SZ):
+        assert np.array_equal(antiunitary_act(SY, s), -s)
+    assert np.array_equal(antiunitary_act(np.eye(2, dtype=complex), SY), -SY)
 
 
 def test_catalog_count_and_split():
@@ -78,11 +79,12 @@ def test_catalog_count_and_split():
     valid = [e for e in entries if e.valid]
     invalid = [e for e in entries if not e.valid]
     assert len(valid) == 6 and len(invalid) == 3
-    assert all(e.verdict.preserves_su2 for e in entries)
+    assert sorted(e.t_squared for e in valid) == [-1, 1, 1, 1, 1, 1]
+    assert all(e.t_squared is None for e in invalid)
 
 
 def test_catalog_sign_table():
-    signs = {e.label: e.verdict.t_squared for e in catalog_spin_ops()}
+    signs = {e.label: e.t_squared for e in catalog_spin_ops()}
     assert signs["sigma_x"] == 1
     assert signs["sigma_y"] == -1
     assert signs["sigma_z"] == 1
