@@ -40,7 +40,7 @@ def _native(obj):
     if isinstance(obj, (list, tuple)):
         return [_native(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _native(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

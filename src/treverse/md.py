@@ -24,15 +24,22 @@ listed displacement and r^2 with the dense kernel's elementwise
 operations, so filtering it by the cutoff yields exactly the rows, in the
 same order, that the dense kernel selects.
 
+Trajectories are vectorized: state arrays have shape (R, N, 3) for R
+independent trajectories of N particles.  Each is an (R, N, 3) view of a
+C-contiguous component-major (3, R, N) buffer, so step, forces and the
+rotation run every operation as one contiguous loop over R*N values per
+component; a state built from C-ordered arrays is copied once by its
+first step.  Elementwise arithmetic gives the same bits in either layout,
+but a reduction over (N, 3) does not, so the kinetic and potential
+energies sum C-ordered arrays.  Per-trajectory random streams are derived
+from the master seed by counter, so results do not depend on how
+trajectories are chunked.
+
 The rotation writes out its cross products and |t|^2 per component, with
 the operations np.cross and np.sum perform in the same order, so it is
-bitwise equal to the form that calls them.  A constant field is not
-evaluated: the rotation uses its vector directly.
-
-Trajectories are vectorized: state arrays have shape (R, N, 3) for R
-independent trajectories of N particles.  Per-trajectory random streams
-are derived from the master seed by counter, so results do not depend on
-how trajectories are chunked.
+bitwise equal to the form that calls them; every r^2 adds its squares in
+that order too.  A constant field is not evaluated: its rotation vectors
+are computed once per step and serve both half-rotations.
 
 The correlators are estimated chunk by chunk.  A chunk stores the sampled
 velocities of only the components its pairs read, and holds as many
@@ -63,6 +70,8 @@ SIGMA_GATE = 3.0
 # Verlet-list skin in units of wca_sigma: at the criterion-7 density about
 # 7% of the pairs are listed, and a list lasts about 20 steps
 _SKIN = 0.3
+# init_state places no pair closer than this many wca_sigma
+_MIN_SEP = 0.9
 
 
 class NotApplicable(ValueError):
@@ -122,7 +131,8 @@ class NeighbourList:
 
     a and b are the rows r*N + i and r*N + j (i < j) of pos.reshape(-1, 3)
     of the pairs within cutoff + skin at ref, in dense (trajectory, pair)
-    order.  A list is never modified, so states may share it.
+    order; ref is component-major, (3, R, N).  A list is never modified,
+    so states may share it.
     """
 
     ref: np.ndarray
@@ -134,11 +144,13 @@ class NeighbourList:
 class MDState:
     """Positions (unwrapped) and velocities, shape (R, N, 3).
 
-    force, when set, is forces(pos, cfg) for the interacting config being
-    stepped; step reuses it for its opening kick.  neighbours, when set, is
-    the Verlet list step last used: it holds every pair that can be inside
-    the cutoff until some particle has moved skin/2 from its build, and
-    step rebuilds it past that.  Forces from the list are bitwise equal to
+    step makes pos, vel and force (R, N, 3) views of component-major
+    (3, R, N) buffers; it accepts C-ordered arrays too.  force, when set,
+    is forces(pos, cfg) for the interacting config being stepped; step
+    reuses it for its opening kick.  neighbours, when set, is the Verlet
+    list step last used: it holds every pair that can be inside the cutoff
+    until some particle has moved skin/2 from its build, and step rebuilds
+    it past that.  Forces from the list are bitwise equal to
     forces(pos, cfg), since it keeps the dense pair order.  A state whose
     positions were changed by anything but step must carry force and
     neighbours None.
@@ -150,12 +162,28 @@ class MDState:
     neighbours: NeighbourList | None = None
 
     def copy(self) -> "MDState":
-        force = None if self.force is None else self.force.copy()
-        return MDState(self.pos.copy(), self.vel.copy(), force, self.neighbours)
+        force = None if self.force is None else self.force.copy(order="K")
+        return MDState(self.pos.copy(order="K"), self.vel.copy(order="K"), force,
+                       self.neighbours)
+
+
+def _component_major(x: np.ndarray) -> np.ndarray:
+    """x (R, N, 3) as a C-contiguous (3, R, N) array; no copy for a view of one."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
+
+
+def _particle_major(x: np.ndarray) -> np.ndarray:
+    """The (R, N, 3) view of a component-major (3, R, N) array."""
+    return x.transpose(1, 2, 0)
 
 
 def _wrap(pos: np.ndarray, box: float) -> np.ndarray:
     return pos - box * np.rint(pos / box)
+
+
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the first axis, adding the squares in the order np.sum does."""
+    return (x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]
 
 
 @lru_cache(maxsize=None)
@@ -165,43 +193,38 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _image_r2(d: np.ndarray, box: float):
-    """Minimum images of the displacements d (modified in place) and their r^2."""
+    """Minimum images of the displacements d (3, ...) (modified in place) and their r^2."""
     d -= box * np.rint(d / box)
-    return d, np.sum(d * d, axis=-1)
-
-
-def _pair_r2(pos: np.ndarray, cfg: SimConfig):
-    """Minimum-image displacements x_i - x_j and squared distances, (R, P)."""
-    i, j = _pair_index(pos.shape[1])
-    return _image_r2(pos[:, i, :] - pos[:, j, :], cfg.box)
+    return d, _norm2(d)
 
 
 def _close_pairs(pos: np.ndarray, cfg: SimConfig, radius: float = WCA_CUTOFF):
-    """The pairs closer than radius * sigma: trajectory, i < j, x_i - x_j and r^2."""
-    d, r2 = _pair_r2(pos, cfg)
+    """The pairs closer than radius * sigma at pos (3, R, N): trajectory, i < j and r^2."""
+    i, j = _pair_index(pos.shape[2])
+    _, r2 = _image_r2(pos[:, :, i] - pos[:, :, j], cfg.box)
     traj, pair = np.nonzero(r2 < (radius * cfg.wca_sigma) ** 2)
-    i, j = _pair_index(pos.shape[1])
-    return traj, i[pair], j[pair], d[traj, pair], r2[traj, pair]
+    return traj, i[pair], j[pair], r2[traj, pair]
 
 
 def _neighbours(pos: np.ndarray, cfg: SimConfig,
                 previous: NeighbourList | None) -> NeighbourList:
     """previous while no particle has moved skin/2 since its build, else a new list."""
+    pos = _component_major(pos)
     if previous is not None:
-        moved = pos - previous.ref
-        if np.max(np.sum(moved * moved, axis=-1)) <= (0.5 * _SKIN * cfg.wca_sigma) ** 2:
+        if np.max(_norm2(pos - previous.ref)) <= (0.5 * _SKIN * cfg.wca_sigma) ** 2:
             return previous
-    traj, i, j, _, _ = _close_pairs(pos, cfg, WCA_CUTOFF + _SKIN)
-    n = pos.shape[1]
+    traj, i, j, _ = _close_pairs(pos, cfg, WCA_CUTOFF + _SKIN)
+    n = pos.shape[2]
     return NeighbourList(pos, traj * n + i, traj * n + j)
 
 
 def _listed_close_pairs(pos: np.ndarray, cfg: SimConfig, neighbours: NeighbourList):
-    """The listed pairs inside the cutoff: rows r*N + i and r*N + j, x_i - x_j and r^2."""
-    flat = pos.reshape(-1, 3)
-    d, r2 = _image_r2(flat[neighbours.a] - flat[neighbours.b], cfg.box)
+    """The listed pairs inside the cutoff at pos (3, R, N): rows r*N + i and
+    r*N + j, x_i - x_j (3, P) and r^2."""
+    flat = pos.reshape(3, -1)
+    d, r2 = _image_r2(flat[:, neighbours.a] - flat[:, neighbours.b], cfg.box)
     (close,) = np.nonzero(r2 < (WCA_CUTOFF * cfg.wca_sigma) ** 2)
-    return neighbours.a[close], neighbours.b[close], d[close], r2[close]
+    return neighbours.a[close], neighbours.b[close], d[:, close], r2[close]
 
 
 def forces(pos: np.ndarray, cfg: SimConfig,
@@ -212,31 +235,34 @@ def forces(pos: np.ndarray, cfg: SimConfig,
     leave it unchanged, so only pairs inside are evaluated.  Particle i gets
     the terms of its partners in ascending order, as the dense sum does:
     the -f terms of partners j < i come first in pair order, then the +f
-    terms of partners j > i, and bincount adds them in that order.  Only the
-    pairs of the neighbour list, which must be valid at pos, are visited;
-    they yield the dense sum's close pairs in the same order.  Without a
-    list a fresh one is built.
+    terms of partners j > i, and bincount adds them in that order (each
+    component c of row r is bin c*R*N + r).  Only the pairs of the
+    neighbour list, which must be valid at pos, are visited; they yield the
+    dense sum's close pairs in the same order.  Without a list a fresh one
+    is built.  The result is an (R, N, 3) view of a component-major array.
     """
     if not cfg.interacting or cfg.n == 1:
         return np.zeros_like(pos)
     if neighbours is None:
         neighbours = _neighbours(pos, cfg, None)
+    pos = _component_major(pos)
     a, b, d, r2 = _listed_close_pairs(pos, cfg, neighbours)
     inv2 = cfg.wca_sigma ** 2 / r2
     inv6 = inv2 ** 3
     coef = 24.0 * cfg.wca_epsilon * (2.0 * inv6 * inv6 - inv6) * inv2 / cfg.wca_sigma ** 2
-    f = d * coef[:, None]
-    rows = np.concatenate([b, a])
-    bins = (3 * rows[:, None] + np.arange(3)).ravel()
-    total = np.bincount(bins, weights=np.concatenate([-f, f]).ravel(), minlength=pos.size)
-    return total.reshape(pos.shape)
+    f = d * coef
+    rows = pos[0].size
+    bins = (rows * np.arange(3)[:, None] + np.concatenate([b, a])).ravel()
+    total = np.bincount(bins, weights=np.concatenate([-f, f], axis=1).ravel(),
+                        minlength=pos.size)
+    return _particle_major(total.reshape(pos.shape))
 
 
 def potential_energy(pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Per-trajectory WCA potential energy (truncated and shifted)."""
     if not cfg.interacting or cfg.n == 1:
         return np.zeros(pos.shape[0])
-    traj, i, j, _, r2 = _close_pairs(pos, cfg)
+    traj, i, j, r2 = _close_pairs(_component_major(pos), cfg)
     inv6 = (cfg.wca_sigma ** 2 / r2) ** 3
     pair = 4.0 * cfg.wca_epsilon * (inv6 * inv6 - inv6) + cfg.wca_epsilon
     # summed as the full symmetric (R, N, N) matrix, in the dense order
@@ -247,10 +273,14 @@ def potential_energy(pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return 0.5 * np.sum(matrix, axis=(1, 2))
 
 
+def _kinetic(vel: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Per-trajectory kinetic energy, summed over a C-ordered (R, N, 3) copy."""
+    return 0.5 * cfg.mass * np.sum(np.ascontiguousarray(vel) ** 2, axis=(1, 2))
+
+
 def energy(state: MDState, cfg: SimConfig) -> np.ndarray:
     """Per-trajectory total energy; the magnetic force does no work."""
-    kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
-    return kinetic + potential_energy(state.pos, cfg)
+    return _kinetic(state.vel, cfg) + potential_energy(state.pos, cfg)
 
 
 # the components of a x b are the differences of the products
@@ -259,50 +289,58 @@ _CROSS_A = np.array([1, 2, 0, 2, 0, 1])
 _CROSS_B = np.array([2, 0, 1, 1, 2, 0])
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, with the operations np.cross performs."""
-    prod = a[..., _CROSS_A] * b[..., _CROSS_B]
-    return prod[..., :3] - prod[..., 3:]
+def _add_cross(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """v + a x b over the first axis, with the operations np.cross performs."""
+    prod = a[_CROSS_A]
+    prod *= b[_CROSS_B]
+    out = np.subtract(prod[:3], prod[3:])
+    out += v
+    return out
 
 
-def _boris_rotate(vel: np.ndarray, bvec: np.ndarray, half_angle: float) -> np.ndarray:
-    """Exact rotation of velocities about bvec, tan-half-angle form.
-
-    bvec has the shape of vel, or (3,) for a field that does not vary.
-    """
-    t = half_angle * bvec
-    vp = vel + _cross(vel, t)
-    # the order in which np.sum adds the three squares
-    norm = (t[..., 0] * t[..., 0] + t[..., 1] * t[..., 1]) + t[..., 2] * t[..., 2]
-    s = 2.0 * t / (1.0 + norm)[..., None]
-    return vel + _cross(vp, s)
+def _tan_vectors(bvec: np.ndarray, half_angle: float):
+    """t = half_angle * bvec and s = 2t / (1 + |t|^2), component-major and
+    C-contiguous; bvec is (3, R, N), or (3, 1, 1) for a field that does not vary."""
+    t = np.multiply(half_angle, bvec, order="C")
+    return t, 2.0 * t / (1.0 + _norm2(t))
 
 
-def _half_rotate(vel: np.ndarray, pos: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Rotate velocities for dt/2 in the field at pos."""
+def _boris_rotate(vel: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Exact rotation of velocities vel (3, R, N) by the tan-half-angle
+    vectors t and s of _tan_vectors."""
+    return _add_cross(vel, _add_cross(vel, vel, t), s)
+
+
+def _half_rotation(pos: np.ndarray, cfg: SimConfig):
+    """The tan vectors of a dt/2 rotation in the field at pos (3, R, N)."""
     if cfg.field.family == FAMILY_CONSTANT:
-        bvec = cfg.field.b
+        bvec = cfg.field.b.reshape(3, 1, 1)
     else:
-        bvec = eval_field(cfg.field, _wrap(pos, cfg.box))
-    return _boris_rotate(vel, bvec, cfg.charge / cfg.mass * cfg.dt / 4.0)
+        bvec = eval_field(cfg.field, _particle_major(_wrap(pos, cfg.box))).transpose(2, 0, 1)
+    return _tan_vectors(bvec, cfg.charge / cfg.mass * cfg.dt / 4.0)
 
 
 def step(state: MDState, cfg: SimConfig) -> MDState:
     """One palindromic step: kick(dt/2) rotate(dt/2) drift(dt) rotate(dt/2) kick(dt/2)."""
     dt = cfg.dt
-    pos, vel, force, neighbours = state.pos, state.vel, None, None
+    pos, vel = _component_major(state.pos), _component_major(state.vel)
+    force, neighbours = None, None
     if cfg.interacting:
-        force = forces(pos, cfg) if state.force is None else state.force
-        vel = vel + (0.5 * dt / cfg.mass) * force
-    vel = _half_rotate(vel, pos, cfg)
+        force = forces(state.pos, cfg) if state.force is None else state.force
+        vel = vel + (0.5 * dt / cfg.mass) * _component_major(force)
+    rotation = _half_rotation(pos, cfg)
+    vel = _boris_rotate(vel, *rotation)
     pos = pos + dt * vel
-    vel = _half_rotate(vel, pos, cfg)
+    if cfg.field.family != FAMILY_CONSTANT:
+        rotation = _half_rotation(pos, cfg)
+    vel = _boris_rotate(vel, *rotation)
+    pos = _particle_major(pos)
     if cfg.interacting:
         if cfg.n > 1:
             neighbours = _neighbours(pos, cfg, state.neighbours)
         force = forces(pos, cfg, neighbours)
-        vel = vel + (0.5 * dt / cfg.mass) * force
-    return MDState(pos, vel, force, neighbours)
+        vel = vel + (0.5 * dt / cfg.mass) * _component_major(force)
+    return MDState(pos, _particle_major(vel), force, neighbours)
 
 
 def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
@@ -318,7 +356,7 @@ def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
     n = cfg.n
     n_side = math.ceil(n ** (1.0 / 3.0))
     spacing = cfg.box / n_side
-    min_sep = 0.9 * cfg.wca_sigma if cfg.interacting else 0.0
+    min_sep = _MIN_SEP * cfg.wca_sigma if cfg.interacting else 0.0
     if cfg.interacting and n > 1 and spacing < min_sep:
         raise ValueError("packing fraction too high to place particles")
     jitter_amp = min(0.2 * spacing, 0.5 * (spacing - min_sep)) if n > 1 else 0.45 * cfg.box
@@ -329,20 +367,18 @@ def init_state(cfg: SimConfig, trajectory_indices=None) -> MDState:
     scale = math.sqrt(cfg.temperature / cfg.mass)
     if n > 1:
         scale *= math.sqrt(n / (n - 1.0))
-    pos = np.empty((len(indices), n, 3))
-    vel = np.empty((len(indices), n, 3))
+    pos = np.empty((3, len(indices), n))
+    vel = np.empty((3, len(indices), n))
     for row, r in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, int(r)]))
-        pos[row] = lattice + rng.uniform(-jitter_amp, jitter_amp, size=(n, 3))
+        pos[:, row] = (lattice + rng.uniform(-jitter_amp, jitter_amp, size=(n, 3))).T
         v = scale * rng.standard_normal((n, 3))
         if n > 1:
             v -= v.mean(axis=0, keepdims=True)
-        vel[row] = v
-    if cfg.interacting and n > 1:
-        _, r2 = _pair_r2(pos, cfg)
-        if np.min(r2) < min_sep ** 2:
-            raise ValueError("packing fraction too high to place particles")
-    return MDState(pos, vel)
+        vel[:, row] = v.T
+    if cfg.interacting and n > 1 and _close_pairs(pos, cfg, _MIN_SEP)[0].size:
+        raise ValueError("packing fraction too high to place particles")
+    return MDState(_particle_major(pos), _particle_major(vel))
 
 
 def equilibrate(state: MDState, cfg: SimConfig) -> MDState:
@@ -353,9 +389,9 @@ def equilibrate(state: MDState, cfg: SimConfig) -> MDState:
     for k in range(cfg.equilibration):
         state = step(state, cfg)
         if (k + 1) % cfg.thermostat_interval == 0:
-            kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
-            factor = np.sqrt(target / np.maximum(kinetic, 1e-300))
-            state = replace(state, vel=state.vel * factor[:, None, None])
+            factor = np.sqrt(target / np.maximum(_kinetic(state.vel, cfg), 1e-300))
+            state = replace(state, vel=_particle_major(
+                _component_major(state.vel) * factor[:, None]))
     return state
 
 
@@ -466,7 +502,7 @@ def _chunk_correlators(cfg: SimConfig, indices, stride: int, n_samples: int,
     series = np.empty((len(comps), r, n_samples, cfg.n))
     e0 = energy(state, cfg)
     for s in range(n_samples):
-        series[:, :, s] = np.moveaxis(state.vel[..., picks], -1, 0)
+        series[:, :, s] = _component_major(state.vel)[picks]
         if s < n_samples - 1:
             for _ in range(stride):
                 state = step(state, cfg)
@@ -707,7 +743,8 @@ def phasepoint_from_state(state: MDState, cfg: SimConfig) -> PhasePoint:
 
 
 def _apply_block(state: MDState, block: np.ndarray) -> MDState:
-    return MDState(state.pos @ block.T, -(state.vel @ block.T))
+    pos, vel = np.ascontiguousarray(state.pos), np.ascontiguousarray(state.vel)
+    return MDState(pos @ block.T, -(vel @ block.T))
 
 
 def conjugacy_check(op: TimeReversalOp, gamma0: PhasePoint, n_steps: int,

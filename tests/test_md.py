@@ -148,6 +148,8 @@ def test_energy_drift_long_interacting_run():
 
 
 def _dense_pairs(pos, cfg):
+    # on a C-ordered copy: einsum's sum order follows the memory layout
+    pos = np.ascontiguousarray(pos)
     d = pos[:, :, None, :] - pos[:, None, :, :]
     d -= cfg.box * np.rint(d / cfg.box)
     r2 = np.sum(d * d, axis=-1)
@@ -304,14 +306,19 @@ def cross_boris_rotate(vel, bvec, half_angle):
     return vel + np.cross(vp, s)
 
 
+def c_ordered(x):
+    return None if x is None else np.ascontiguousarray(x)
+
+
 def field_evaluating_step(state, cfg):
     # the step that evaluated every field at the wrapped positions and
-    # rotated with the np.cross form, kept as its oracle
+    # rotated with the np.cross form on C-ordered (R, N, 3) arrays, kept as
+    # its oracle
     dt = cfg.dt
     qm = cfg.charge / cfg.mass
-    pos, vel, force = state.pos, state.vel, None
+    pos, vel, force = c_ordered(state.pos), c_ordered(state.vel), None
     if cfg.interacting:
-        force = forces(pos, cfg) if state.force is None else state.force
+        force = c_ordered(forces(pos, cfg) if state.force is None else state.force)
         vel = vel + (0.5 * dt / cfg.mass) * force
     bvec = eval_field(cfg.field, md._wrap(pos, cfg.box))
     vel = cross_boris_rotate(vel, bvec, qm * dt / 4.0)
@@ -319,7 +326,7 @@ def field_evaluating_step(state, cfg):
     bvec = eval_field(cfg.field, md._wrap(pos, cfg.box))
     vel = cross_boris_rotate(vel, bvec, qm * dt / 4.0)
     if cfg.interacting:
-        force = forces(pos, cfg)
+        force = c_ordered(forces(pos, cfg))
         vel = vel + (0.5 * dt / cfg.mass) * force
     return MDState(pos, vel, force)
 
@@ -327,16 +334,23 @@ def field_evaluating_step(state, cfg):
 @pytest.mark.parametrize("shape", [(1, 1, 3), (50, 1, 3), (325, 1, 3), (40, 16, 3), (7, 27, 3)])
 def test_boris_rotation_bitwise_equals_cross_form(shape):
     rng = np.random.default_rng(list(shape))
+
+    def rotate(vel, bvec, half_angle):
+        # the rotation works on component-major (3, R, N) arrays
+        bvec = md._component_major(bvec) if bvec.ndim > 1 else bvec.reshape(3, 1, 1)
+        t, s = md._tan_vectors(bvec, half_angle)
+        return np.moveaxis(md._boris_rotate(md._component_major(vel), t, s), 0, -1)
+
     for _ in range(20):
         vel = rng.standard_normal(shape)
         bvec = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 1.0)
         half_angle = rng.uniform(1e-4, 0.3)
         expected = cross_boris_rotate(vel, bvec, half_angle)
-        assert md._boris_rotate(vel, bvec, half_angle).tobytes() == expected.tobytes()
+        assert rotate(vel, bvec, half_angle).tobytes() == expected.tobytes()
         # a field that does not vary is passed as one 3-vector
         uniform = np.broadcast_to(bvec[0, 0], shape)
         expected = cross_boris_rotate(vel, uniform, half_angle)
-        assert md._boris_rotate(vel, bvec[0, 0], half_angle).tobytes() == expected.tobytes()
+        assert rotate(vel, bvec[0, 0], half_angle).tobytes() == expected.tobytes()
 
 
 WCA_FLUID = dict(n=16, dt=0.002, steps=200, box_half=2.55, wca_epsilon=1.0, seed=3,
@@ -364,6 +378,70 @@ def test_step_bitwise_equals_field_evaluating_step(cfg):
     assert state.vel.tobytes() == expected.vel.tobytes()
     if cfg.interacting:
         assert state.force.tobytes() == expected.force.tobytes()
+
+
+def c_order_equilibrate(state, cfg):
+    # the thermostat on C-ordered arrays, kept as the oracle of equilibrate
+    target = 1.5 * cfg.n * cfg.temperature
+    for k in range(cfg.equilibration):
+        state = field_evaluating_step(state, cfg)
+        if (k + 1) % cfg.thermostat_interval == 0:
+            kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
+            factor = np.sqrt(target / np.maximum(kinetic, 1e-300))
+            state = replace(state, vel=state.vel * factor[:, None, None])
+    return state
+
+
+def c_order_energy(state, cfg):
+    # the total energy summed over C-ordered arrays, kept as the oracle of energy
+    kinetic = 0.5 * cfg.mass * np.sum(state.vel ** 2, axis=(1, 2))
+    return kinetic + dense_potential_energy(state.pos, cfg)
+
+
+@pytest.mark.parametrize("name", ["constant-z", "axial-md"])
+def test_thermostat_and_energy_bitwise_equal_c_order_forms(name):
+    cfg = SimConfig(field=md_fields()[name], **dict(WCA_FLUID, equilibration=60))
+    # the burn-in ends on a rescale, so its kinetic sum decides the last bits
+    assert cfg.equilibration % cfg.thermostat_interval == 0
+    start = init_state(cfg)
+    state = equilibrate(start, cfg)
+    expected = c_order_equilibrate(MDState(c_ordered(start.pos), c_ordered(start.vel)), cfg)
+    assert expected.vel.flags.c_contiguous
+    assert state.pos.tobytes() == expected.pos.tobytes()
+    assert state.vel.tobytes() == expected.vel.tobytes()
+    assert energy(state, cfg).tobytes() == c_order_energy(expected, cfg).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(field=md_fields()["constant-z"], **dict(WCA_FLUID, equilibration=20)),
+    SimConfig(field=md_fields()["axial-md"], **dict(WCA_FLUID, equilibration=20)),
+    SimConfig(n=1, field=FieldSpec.constant([0.3, -0.5, 0.4]), dt=0.02, steps=1,
+              seed=5, n_trajectories=50, equilibration=20),
+    SimConfig(n=16, field=CONST_Z, dt=0.004, steps=1, wca_epsilon=1.0, box_half=1.71,
+              seed=7, equilibration=20),
+], ids=["wca-constant-z", "wca-axial-md", "free-constant", "conjugacy-r1"])
+def test_state_layout_contract(cfg):
+    # (R, N, 3) views of component-major (3, R, N) buffers: the benchmark's
+    # counters read (R, N) from shape[:2]
+    start = init_state(cfg)
+    burnt = equilibrate(start, cfg)
+    stepped = step(burnt, cfg)
+    for state in (start, burnt, stepped, stepped.copy()):
+        arrays = [state.pos, state.vel] + ([] if state.force is None else [state.force])
+        for x in arrays:
+            assert x.shape == (cfg.n_trajectories, cfg.n, 3)
+            assert np.moveaxis(x, -1, 0).flags.c_contiguous
+    # a state built from C-ordered arrays, as state_from_phasepoint builds
+    # one, steps to the bytes of its component-major original
+    rebuilt = MDState(c_ordered(burnt.pos), c_ordered(burnt.vel), c_ordered(burnt.force),
+                      burnt.neighbours)
+    assert rebuilt.vel.flags.c_contiguous and not burnt.vel.flags.c_contiguous
+    original = burnt
+    for _ in range(30):
+        original, rebuilt = step(original, cfg), step(rebuilt, cfg)
+    for name in ("pos", "vel", "force"):
+        assert getattr(original, name) is None or \
+            getattr(original, name).tobytes() == getattr(rebuilt, name).tobytes()
 
 
 def test_conjugacy_free_particle():
